@@ -11,8 +11,17 @@
 module E = Snoise.Experiments
 module R = Snoise.Report
 module Flow = Snoise.Flow
+module J = Sn_json.Json
 
 let fmt = Format.std_formatter
+
+let write_json path j =
+  let oc = open_out path in
+  output_string oc (J.to_string j);
+  output_char oc '\n';
+  close_out oc
+
+let int i = J.Num (float_of_int i)
 
 let banner title =
   Format.fprintf fmt "@.%s@.%s@.%s@." (String.make 72 '=') title
@@ -192,26 +201,29 @@ let sweep_scaling () =
     "(recommended domain count here: %d; parallel results asserted \
      bit-identical to jobs=1)@."
     (Domain.recommended_domain_count ());
-  let oc = open_out "BENCH_2.json" in
-  Printf.fprintf oc
-    "{\n  \"sweep_scaling\": {\n    \"points\": %d,\n    \
-     \"runs_per_width\": %d,\n    \"recommended_domains\": %d,\n    \
-     \"curves\": [\n"
-    (List.length points) runs
-    (Domain.recommended_domain_count ());
-  let n_curves = List.length curves in
-  List.iteri
-    (fun i (jobs, wall, stats, _) ->
-      Printf.fprintf oc
-        "      { \"jobs\": %d, \"wall_seconds\": %.6f, \"speedup\": %.3f, \
-         \"cpu_seconds\": %.6f, \"imbalance\": %.3f }%s\n"
-        jobs wall (seq_wall /. wall)
-        (Pool.cpu_seconds stats)
-        (Pool.imbalance stats)
-        (if i = n_curves - 1 then "" else ","))
-    curves;
-  output_string oc "    ]\n  }\n}\n";
-  close_out oc;
+  let curve (jobs, wall, stats, _) =
+    J.Obj
+      [
+        ("jobs", int jobs);
+        ("wall_seconds", J.Num wall);
+        ("speedup", J.Num (seq_wall /. wall));
+        ("cpu_seconds", J.Num (Pool.cpu_seconds stats));
+        ("imbalance", J.Num (Pool.imbalance stats));
+      ]
+  in
+  write_json "BENCH_2.json"
+    (J.Obj
+       [
+         ( "sweep_scaling",
+           J.Obj
+             [
+               ("points", int (List.length points));
+               ("runs_per_width", int runs);
+               ( "recommended_domains",
+                 int (Domain.recommended_domain_count ()) );
+               ("curves", J.Arr (List.map curve curves));
+             ] );
+       ]);
   Format.fprintf fmt "wrote sweep-scaling curves to BENCH_2.json@.";
   Format.pp_print_flush fmt ()
 
@@ -280,19 +292,22 @@ let rescue_overhead () =
     List.map probe
       [ ("tran-fixed-step", 5, tran_workload); ("fig7-sweep", 2, fig7_workload) ]
   in
-  let oc = open_out "BENCH_3.json" in
-  output_string oc "{\n  \"rescue_overhead\": {\n    \"workloads\": [\n";
-  let n_rows = List.length rows in
-  List.iteri
-    (fun i (name, runs, off, on_, ratio) ->
-      Printf.fprintf oc
-        "      { \"name\": \"%s\", \"runs\": %d, \"disarmed_seconds\": \
-         %.6f, \"armed_idle_seconds\": %.6f, \"overhead_ratio\": %.3f }%s\n"
-        name runs off on_ ratio
-        (if i = n_rows - 1 then "" else ","))
-    rows;
-  output_string oc "    ]\n  }\n}\n";
-  close_out oc;
+  let row (name, runs, off, on_, ratio) =
+    J.Obj
+      [
+        ("name", J.Str name);
+        ("runs", int runs);
+        ("disarmed_seconds", J.Num off);
+        ("armed_idle_seconds", J.Num on_);
+        ("overhead_ratio", J.Num ratio);
+      ]
+  in
+  write_json "BENCH_3.json"
+    (J.Obj
+       [
+         ( "rescue_overhead",
+           J.Obj [ ("workloads", J.Arr (List.map row rows)) ] );
+       ]);
   Format.fprintf fmt "wrote rescue-overhead probes to BENCH_3.json@.";
   Format.pp_print_flush fmt ()
 
@@ -454,30 +469,33 @@ let frequency_domain () =
      %.1f s (%.1fx), max rel err %.2e@."
     dim n_pts t_sparse t_dense_est ac_speedup !max_ac_err t_noise
     t_noise_dense_est noise_speedup !max_noise_err;
-  let oc = open_out "BENCH_4.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"frequency_domain\": {\n\
-    \    \"unknowns\": %d,\n\
-    \    \"freq_points\": %d,\n\
-    \    \"ac_sweep\": {\n\
-    \      \"sparse_seconds\": %.6f,\n\
-    \      \"dense_seconds_est\": %.6f,\n\
-    \      \"speedup\": %.2f,\n\
-    \      \"max_rel_err\": %.3e,\n\
-    \      \"parallel_identical\": true\n\
-    \    },\n\
-    \    \"noise_adjoint\": {\n\
-    \      \"sparse_seconds\": %.6f,\n\
-    \      \"dense_seconds_est\": %.6f,\n\
-    \      \"speedup\": %.2f,\n\
-    \      \"max_rel_err\": %.3e\n\
-    \    }\n\
-    \  }\n\
-     }\n"
-    dim n_pts t_sparse t_dense_est ac_speedup !max_ac_err t_noise
-    t_noise_dense_est noise_speedup !max_noise_err;
-  close_out oc;
+  write_json "BENCH_4.json"
+    (J.Obj
+       [
+         ( "frequency_domain",
+           J.Obj
+             [
+               ("unknowns", int dim);
+               ("freq_points", int n_pts);
+               ( "ac_sweep",
+                 J.Obj
+                   [
+                     ("sparse_seconds", J.Num t_sparse);
+                     ("dense_seconds_est", J.Num t_dense_est);
+                     ("speedup", J.Num ac_speedup);
+                     ("max_rel_err", J.Num !max_ac_err);
+                     ("parallel_identical", J.Bool true);
+                   ] );
+               ( "noise_adjoint",
+                 J.Obj
+                   [
+                     ("sparse_seconds", J.Num t_noise);
+                     ("dense_seconds_est", J.Num t_noise_dense_est);
+                     ("speedup", J.Num noise_speedup);
+                     ("max_rel_err", J.Num !max_noise_err);
+                   ] );
+             ] );
+       ]);
   Format.fprintf fmt "wrote frequency-domain probes to BENCH_4.json@.";
   Format.pp_print_flush fmt ()
 
@@ -529,7 +547,7 @@ let extraction_scaling () =
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
   in
-  let entries = Array.make (Array.length sizes) "" in
+  let entries = Array.make (Array.length sizes) J.Null in
   let mat_bits m =
     let np = N.Mat.rows m in
     Array.init (np * np) (fun k ->
@@ -600,12 +618,16 @@ let extraction_scaling () =
         t_mg st.X.cg_iterations_total st.X.mg_levels direct_s
         (if estimated then " est" else "");
       entries.(k) <-
-        Printf.sprintf
-          "      { \"nx\": %d, \"cells\": %d, \"mgcg_seconds\": %.6f, \
-           \"cg_iterations\": %d, \"mg_levels\": %d, \
-           \"direct_seconds\": %.6f, \"direct_estimated\": %b }"
-          n cells t_mg st.X.cg_iterations_total st.X.mg_levels direct_s
-          estimated;
+        J.Obj
+          [
+            ("nx", int n);
+            ("cells", int cells);
+            ("mgcg_seconds", J.Num t_mg);
+            ("cg_iterations", int st.X.cg_iterations_total);
+            ("mg_levels", int st.X.mg_levels);
+            ("direct_seconds", J.Num direct_s);
+            ("direct_estimated", J.Bool estimated);
+          ];
       if k = Array.length sizes - 1 then begin
         let speedup = direct_s /. t_mg in
         Format.fprintf fmt
@@ -666,38 +688,36 @@ let extraction_scaling () =
   if mat_bits seq.Mac.conductance <> mat_bits par.Mac.conductance then
     failwith "bench part6: jobs=4 extraction differs from jobs=1";
   Format.fprintf fmt "jobs=1 vs jobs=4: byte-identical@.";
-  let oc = open_out "BENCH_5.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"extraction_scaling\": {\n\
-    \    \"ports\": %d,\n\
-    \    \"small_mode\": %b,\n\
-    \    \"grids\": [\n%s\n\
-    \    ],\n\
-    \    \"accuracy_max_rel_err\": %.3e,\n\
-    \    \"tiled_cache\": {\n\
-    \      \"grid_nx\": %d,\n\
-    \      \"tiles\": %d,\n\
-    \      \"interface_nodes\": %d,\n\
-    \      \"cold_seconds\": %.6f,\n\
-    \      \"warm_seconds\": %.6f,\n\
-    \      \"warm_hits\": %d,\n\
-    \      \"warm_cg_iterations\": %d,\n\
-    \      \"warm_identical\": true\n\
-    \    },\n\
-    \    \"parallel_identical\": true\n\
-    \  }\n\
-     }\n"
-    (List.length ports) small
-    (String.concat ",\n" (Array.to_list entries))
-    !accuracy_err n_tiled st_cold.X.tiles st_cold.X.interface_nodes t_cold
-    t_warm st_warm.X.cache_hits st_warm.X.cg_iterations_total;
-  close_out oc;
+  write_json "BENCH_5.json"
+    (J.Obj
+       [
+         ( "extraction_scaling",
+           J.Obj
+             [
+               ("ports", int (List.length ports));
+               ("small_mode", J.Bool small);
+               ("grids", J.Arr (Array.to_list entries));
+               ("accuracy_max_rel_err", J.Num !accuracy_err);
+               ( "tiled_cache",
+                 J.Obj
+                   [
+                     ("grid_nx", int n_tiled);
+                     ("tiles", int st_cold.X.tiles);
+                     ("interface_nodes", int st_cold.X.interface_nodes);
+                     ("cold_seconds", J.Num t_cold);
+                     ("warm_seconds", J.Num t_warm);
+                     ("warm_hits", int st_warm.X.cache_hits);
+                     ("warm_cg_iterations", int st_warm.X.cg_iterations_total);
+                     ("warm_identical", J.Bool true);
+                   ] );
+               ("parallel_identical", J.Bool true);
+             ] );
+       ]);
   Format.fprintf fmt "wrote extraction scaling to BENCH_5.json@.";
   Format.pp_print_flush fmt ()
 
 (* ------------------------------------------------------------------ *)
-(* Part 8: resident service throughput (BENCH_6.json)
+(* Part 7: resident service throughput (BENCH_6.json)
 
    The workload [snoise serve] exists for: the same deck requested
    over and over.  Cold serves every request with the plan cache
@@ -709,10 +729,9 @@ let extraction_scaling () =
    time, at pool widths 1 and 4. *)
 
 let serving_throughput () =
-  banner "Part 8 - resident service: cold vs warm requests/s (BENCH_6.json)";
+  banner "Part 7 - resident service: cold vs warm requests/s (BENCH_6.json)";
   let module Sv = Sn_server.Service in
   let module Pc = Sn_server.Plan_cache in
-  let module J = Sn_server.Json in
   let small = Array.exists (String.equal "small") Sys.argv in
   let time f =
     let t0 = Unix.gettimeofday () in
@@ -737,11 +756,19 @@ let serving_throughput () =
     Buffer.contents b
   in
   let ac_line ?(id = 1) freqs =
-    Printf.sprintf
-      {|{"id": %d, "verb": "ac", "deck": %s, "params": {"freqs": %s, "nodes": ["out"]}}|}
-      id
-      (J.to_string (J.Str deck))
-      freqs
+    J.to_string
+      (J.Obj
+         [
+           ("id", int id);
+           ("verb", J.Str "ac");
+           ("deck", J.Str deck);
+           ( "params",
+             J.Obj
+               [
+                 ("freqs", J.Arr (List.map (fun f -> J.Num f) freqs));
+                 ("nodes", J.Arr [ J.Str "out" ]);
+               ] );
+         ])
   in
   let member name j =
     match J.member name j with
@@ -762,7 +789,7 @@ let serving_throughput () =
         (Printf.sprintf "bench part7: expected 1 reply, got %d"
            (List.length rs))
   in
-  let line = ac_line "[1e6, 5e6, 2e7]" in
+  let line = ac_line [ 1e6; 5e6; 2e7 ] in
   let svc = Sv.create () in
   (* cold: clear the cache before every request *)
   let n_cold = if small then 5 else 10 in
@@ -800,7 +827,7 @@ let serving_throughput () =
     failwith "bench part7: warm serving < 10x cold";
   (* batching contract: drained batch byte-identical to one-at-a-time *)
   let freq_sets =
-    [ "[1e6, 3e6]"; "[2e6]"; "[1e6, 5e6, 9e6]"; "[3e6, 2e6]" ]
+    [ [ 1e6; 3e6 ]; [ 2e6 ]; [ 1e6; 5e6; 9e6 ]; [ 3e6; 2e6 ] ]
   in
   let result_str reply = J.to_string (member "result" reply) in
   let batch_identical jobs =
@@ -837,32 +864,33 @@ let serving_throughput () =
   Format.fprintf fmt
     "batched sweep (%d requests) byte-identical to sequential at jobs 1 and 4@."
     (List.length freq_sets);
-  let oc = open_out "BENCH_6.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"resident_service\": {\n\
-    \    \"deck_stages\": %d,\n\
-    \    \"small_mode\": %b,\n\
-    \    \"cold_requests\": %d,\n\
-    \    \"warm_requests\": %d,\n\
-    \    \"cold_rps\": %.3f,\n\
-    \    \"warm_rps\": %.3f,\n\
-    \    \"warm_over_cold\": %.2f,\n\
-    \    \"batch\": {\n\
-    \      \"requests\": %d,\n\
-    \      \"jobs\": [1, 4],\n\
-    \      \"byte_identical\": true\n\
-    \    }\n\
-    \  }\n\
-     }\n"
-    stages small n_cold n_warm cold_rps warm_rps speedup
-    (List.length freq_sets);
-  close_out oc;
+  write_json "BENCH_6.json"
+    (J.Obj
+       [
+         ( "resident_service",
+           J.Obj
+             [
+               ("deck_stages", int stages);
+               ("small_mode", J.Bool small);
+               ("cold_requests", int n_cold);
+               ("warm_requests", int n_warm);
+               ("cold_rps", J.Num cold_rps);
+               ("warm_rps", J.Num warm_rps);
+               ("warm_over_cold", J.Num speedup);
+               ( "batch",
+                 J.Obj
+                   [
+                     ("requests", int (List.length freq_sets));
+                     ("jobs", J.Arr [ int 1; int 4 ]);
+                     ("byte_identical", J.Bool true);
+                   ] );
+             ] );
+       ]);
   Format.fprintf fmt "wrote resident-service throughput to BENCH_6.json@.";
   Format.pp_print_flush fmt ()
 
 (* ------------------------------------------------------------------ *)
-(* Part 9: cooperative-cancellation overhead (BENCH_7.json)
+(* Part 8: cooperative-cancellation overhead (BENCH_7.json)
 
    The deadline machinery polls an ambient token at iteration
    boundaries of every long-running loop.  On the serving layer's hot
@@ -876,7 +904,7 @@ let serving_throughput () =
 
 let cancellation_overhead () =
   banner
-    "Part 9 - cooperative cancellation: check overhead on the AC hot path \
+    "Part 8 - cooperative cancellation: check overhead on the AC hot path \
      (BENCH_7.json)";
   let module N = Sn_numerics in
   let small = Array.exists (String.equal "small") Sys.argv in
@@ -952,28 +980,27 @@ let cancellation_overhead () =
   if not fired then failwith "bench part8: expired deadline did not cancel";
   Format.fprintf fmt
     "expired deadline cancelled the sweep after %d iteration(s)@." progress;
-  let oc = open_out "BENCH_7.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"cancellation\": {\n\
-    \    \"deck_stages\": %d,\n\
-    \    \"freq_points\": %d,\n\
-    \    \"small_mode\": %b,\n\
-    \    \"reps\": %d,\n\
-    \    \"disarmed_ms\": %.4f,\n\
-    \    \"armed_ms\": %.4f,\n\
-    \    \"overhead_ratio\": %.4f,\n\
-    \    \"deadline_fires\": %b,\n\
-    \    \"cancelled_after_iterations\": %d\n\
-    \  }\n\
-     }\n"
-    stages (Array.length freqs) small reps (disarmed *. 1.0e3)
-    (armed *. 1.0e3) ratio fired progress;
-  close_out oc;
+  write_json "BENCH_7.json"
+    (J.Obj
+       [
+         ( "cancellation",
+           J.Obj
+             [
+               ("deck_stages", int stages);
+               ("freq_points", int (Array.length freqs));
+               ("small_mode", J.Bool small);
+               ("reps", int reps);
+               ("disarmed_ms", J.Num (disarmed *. 1.0e3));
+               ("armed_ms", J.Num (armed *. 1.0e3));
+               ("overhead_ratio", J.Num ratio);
+               ("deadline_fires", J.Bool fired);
+               ("cancelled_after_iterations", int progress);
+             ] );
+       ]);
   Format.fprintf fmt "wrote cancellation overhead to BENCH_7.json@.";
   Format.pp_print_flush fmt ()
 
-(* Part 10: PRIMA model-order reduction on the AC hot path (BENCH_8.json)
+(* Part 9: PRIMA model-order reduction on the AC hot path (BENCH_8.json)
 
    The universal-macromodel claim of ISSUE 9: swapping a merged
    model's passive pool (an RC mesh standing in for the coupled
@@ -985,7 +1012,7 @@ let cancellation_overhead () =
 
 let reduction_speedup () =
   banner
-    "Part 10 - PRIMA reduction: exact vs rank-k AC sweep (BENCH_8.json)";
+    "Part 9 - PRIMA reduction: exact vs rank-k AC sweep (BENCH_8.json)";
   let module C = Sn_circuit in
   let module El = C.Element in
   let module Eng = Sn_engine in
@@ -1118,32 +1145,30 @@ let reduction_speedup () =
   if (not small) && speedup < 5.0 then
     failwith
       (Printf.sprintf "bench part9: reduced sweep only %.1fx faster" speedup);
-  let oc = open_out "BENCH_8.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"reduction\": {\n\
-    \    \"mesh_side\": %d,\n\
-    \    \"small_mode\": %b,\n\
-    \    \"deck_nodes\": %d,\n\
-    \    \"reduced_nodes\": %d,\n\
-    \    \"ports\": %d,\n\
-    \    \"internal\": %d,\n\
-    \    \"rank\": %d,\n\
-    \    \"order\": %d,\n\
-    \    \"build_ms\": %.3f,\n\
-    \    \"freq_points\": %d,\n\
-    \    \"reps\": %d,\n\
-    \    \"exact_ms\": %.4f,\n\
-    \    \"reduced_ms\": %.4f,\n\
-    \    \"speedup\": %.2f,\n\
-    \    \"max_rel_err\": %.3e,\n\
-    \    \"parallel_identical\": %b\n\
-    \  }\n\
-     }\n"
-    n_side small n_exact n_red stats.R.ports stats.R.internal stats.R.rank
-    stats.R.order (build_s *. 1.0e3) n_pts reps (t_exact *. 1.0e3)
-    (t_red *. 1.0e3) speedup !max_err parallel_identical;
-  close_out oc;
+  write_json "BENCH_8.json"
+    (J.Obj
+       [
+         ( "reduction",
+           J.Obj
+             [
+               ("mesh_side", int n_side);
+               ("small_mode", J.Bool small);
+               ("deck_nodes", int n_exact);
+               ("reduced_nodes", int n_red);
+               ("ports", int stats.R.ports);
+               ("internal", int stats.R.internal);
+               ("rank", int stats.R.rank);
+               ("order", int stats.R.order);
+               ("build_ms", J.Num (build_s *. 1.0e3));
+               ("freq_points", int n_pts);
+               ("reps", int reps);
+               ("exact_ms", J.Num (t_exact *. 1.0e3));
+               ("reduced_ms", J.Num (t_red *. 1.0e3));
+               ("speedup", J.Num speedup);
+               ("max_rel_err", J.Num !max_err);
+               ("parallel_identical", J.Bool parallel_identical);
+             ] );
+       ]);
   Format.fprintf fmt "wrote reduction speedup to BENCH_8.json@.";
   Format.pp_print_flush fmt ()
 
@@ -1178,7 +1203,7 @@ let tran_ladder_netlist ~stages =
   Sn_circuit.Netlist.create ~title:"bench RC ladder" elements
 
 (* ------------------------------------------------------------------ *)
-(* Part 11: numerical pre-flight overhead (BENCH_9.json)
+(* Part 10: numerical pre-flight overhead (BENCH_9.json)
 
    The verify gate is static analysis only — analyzer rules,
    conditioning span, stiffness spectrum, pool passivity.  Its promise
@@ -1189,7 +1214,7 @@ let tran_ladder_netlist ~stages =
 
 let preflight_overhead () =
   banner
-    "Part 11 - pre-flight overhead: static verify vs cold compile \
+    "Part 10 - pre-flight overhead: static verify vs cold compile \
      (BENCH_9.json)";
   let small = Array.exists (String.equal "small") Sys.argv in
   let min_of reps f =
@@ -1279,31 +1304,28 @@ let preflight_overhead () =
     failwith
       (Printf.sprintf "bench part10: pre-flight overhead %.1f%% > 5%%"
          (100.0 *. ratio));
-  let oc = open_out "BENCH_9.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"preflight\": {\n\
-    \    \"small_mode\": %b,\n\
-    \    \"reps\": %d,\n\
-    \    \"decks\": [\n\
-     %s\n\
-    \    ],\n\
-    \    \"preflight_ms\": %.4f,\n\
-    \    \"cold_compile_ms\": %.4f,\n\
-    \    \"overhead_ratio\": %.4f\n\
-    \  }\n\
-     }\n"
-    small reps_pre
-    (String.concat ",\n"
-       (List.map
-          (fun (name, p, c) ->
-            Printf.sprintf
-              "      {\"deck\": %S, \"preflight_ms\": %.4f, \
-               \"cold_compile_ms\": %.4f}"
-              name (p *. 1.0e3) (c *. 1.0e3))
-          rows))
-    (total_pre *. 1.0e3) (total_cold *. 1.0e3) ratio;
-  close_out oc;
+  let deck_row (name, p, c) =
+    J.Obj
+      [
+        ("deck", J.Str name);
+        ("preflight_ms", J.Num (p *. 1.0e3));
+        ("cold_compile_ms", J.Num (c *. 1.0e3));
+      ]
+  in
+  write_json "BENCH_9.json"
+    (J.Obj
+       [
+         ( "preflight",
+           J.Obj
+             [
+               ("small_mode", J.Bool small);
+               ("reps", int reps_pre);
+               ("decks", J.Arr (List.map deck_row rows));
+               ("preflight_ms", J.Num (total_pre *. 1.0e3));
+               ("cold_compile_ms", J.Num (total_cold *. 1.0e3));
+               ("overhead_ratio", J.Num ratio);
+             ] );
+       ]);
   Format.fprintf fmt "wrote pre-flight overhead to BENCH_9.json@.";
   Format.pp_print_flush fmt ()
 
@@ -1418,16 +1440,11 @@ let bench_tests () =
 (* Machine-readable trajectory: benchmark name -> ns/run, so successive
    revisions can be diffed mechanically. *)
 let emit_json ~path entries =
-  let oc = open_out path in
-  let n = List.length entries in
-  output_string oc "{\n";
-  List.iteri
-    (fun i (name, ns) ->
-      Printf.fprintf oc "  %S: { \"ns_per_run\": %.3f }%s\n" name ns
-        (if i = n - 1 then "" else ","))
-    entries;
-  output_string oc "}\n";
-  close_out oc
+  write_json path
+    (J.Obj
+       (List.map
+          (fun (name, ns) -> (name, J.Obj [ ("ns_per_run", J.Num ns) ]))
+          entries))
 
 let strip_group_prefix name =
   let prefix = "snoise " in
@@ -1474,38 +1491,31 @@ let run_benchmarks () =
     (List.length entries);
   Format.pp_print_flush fmt ()
 
+(* "bench partN" runs that single part (N = 4..10, each one cheap
+   enough for CI or self-asserting); with no part named, everything
+   runs in order *)
+let parts =
+  [
+    ("part4", rescue_overhead);
+    ("part5", frequency_domain);
+    ("part6", extraction_scaling);
+    ("part7", serving_throughput);
+    ("part8", cancellation_overhead);
+    ("part9", reduction_speedup);
+    ("part10", preflight_overhead);
+  ]
+
 let () =
-  (* "bench part4" / "bench part5" run a single cheap part: the
-     robustness-overhead probes and the frequency-domain engine smoke
-     gate respectively *)
-  if Array.exists (String.equal "part4") Sys.argv then rescue_overhead ()
-  else if Array.exists (String.equal "part5") Sys.argv then
-    frequency_domain ()
-  else if Array.exists (String.equal "part6") Sys.argv then
-    extraction_scaling ()
-  else if Array.exists (String.equal "part7") Sys.argv then
-    serving_throughput ()
-  else if Array.exists (String.equal "part8") Sys.argv then
-    cancellation_overhead ()
-  else if Array.exists (String.equal "part9") Sys.argv then
-    reduction_speedup ()
-  else if Array.exists (String.equal "part10") Sys.argv then
-    preflight_overhead ()
-  else begin
+  (match List.find_opt (fun (name, _) -> Array.mem name Sys.argv) parts with
+  | Some (_, run) -> run ()
+  | None ->
     reproduce_all ();
     ablation_grid ();
     ablation_interconnect ();
     ablation_backplane ();
     ablation_corners ();
     sweep_scaling ();
-    rescue_overhead ();
-    frequency_domain ();
-    extraction_scaling ();
-    serving_throughput ();
-    cancellation_overhead ();
-    reduction_speedup ();
-    preflight_overhead ();
-    run_benchmarks ()
-  end;
+    List.iter (fun (_, run) -> run ()) parts;
+    run_benchmarks ());
   Format.fprintf fmt "@.bench: done@.";
   Format.pp_print_flush fmt ()

@@ -5,6 +5,7 @@
    snoise netlist [--vtune V]      dump the merged VCO impact model *)
 
 open Cmdliner
+module J = Sn_json.Json
 
 let setup_logs
     (verbose, jobs, no_lint, cache_dir, no_cache, reduce_order, reduce_tol) =
@@ -251,7 +252,8 @@ let run_lint verbose json strict ignores disables file =
         }
       in
       let report = Sn_analysis.Analyzer.analyze ~config netlist in
-      if json then print_endline (Sn_analysis.Analyzer.to_json report)
+      if json then
+        print_endline (J.to_string (Sn_analysis.Analyzer.to_json report))
       else Snoise.Report.lint fmt ~deck report;
       finish ();
       let failing =
@@ -266,107 +268,12 @@ let run_lint verbose json strict ignores disables file =
    reduction certificate, or a bad cache entry, exits 1.  Unreadable
    input exits 2, like every diagnostic failure. *)
 
-module J = Sn_server.Json
-
-let embed_json s =
-  match J.parse s with Ok j -> j | Error _ -> J.Str s
-
-let preflight_json ~deck (p : Snoise.Flow.preflight) =
-  let module A = Sn_analysis in
-  let module Nu = Sn_analysis.Numeric in
-  let num i = J.Num (float_of_int i) in
-  let span_json (s : Nu.span) =
-    J.Obj
-      [
-        ("node", J.Str s.Nu.sp_node);
-        ("ratio", J.Num s.Nu.sp_ratio);
-        ( "hi",
-          J.Obj
-            [
-              ("element", J.Str (fst s.Nu.sp_hi));
-              ("siemens", J.Num (snd s.Nu.sp_hi));
-            ] );
-        ( "lo",
-          J.Obj
-            [
-              ("element", J.Str (fst s.Nu.sp_lo));
-              ("siemens", J.Num (snd s.Nu.sp_lo));
-            ] );
-        ("digits", J.Num s.Nu.sp_digits);
-      ]
-  in
-  let stiffness_json = function
-    | None -> J.Null
-    | Some (st : Nu.stiffness) ->
-      J.Obj
-        [
-          ("fast_node", J.Str st.Nu.st_fast_node);
-          ("fast_tau_s", J.Num st.Nu.st_fast_tau);
-          ("slow_node", J.Str st.Nu.st_slow_node);
-          ("slow_tau_s", J.Num st.Nu.st_slow_tau);
-          ("ratio", J.Num st.Nu.st_ratio);
-          ("suggested_dt_s", J.Num st.Nu.st_dt);
-          ("steps_to_cover", J.Num st.Nu.st_steps);
-        ]
-  in
-  let pool_defect_json (d : Nu.pool_defect) =
-    J.Obj
-      [
-        ( "pencil",
-          J.Str
-            (match d.Nu.pd_pencil with
-            | `Conductance -> "conductance"
-            | `Capacitance -> "capacitance") );
-        ("node", J.Str d.Nu.pd_node);
-        ("defect", J.Num d.Nu.pd_defect);
-        ("tolerance", J.Num d.Nu.pd_tol);
-        ("dim", num d.Nu.pd_dim);
-        ("negative_branches", num d.Nu.pd_negative);
-      ]
-  in
-  J.Obj
-    [
-      ("schema_version", num Sn_analysis.Analyzer.schema_version);
-      ("mode", J.Str "deck");
-      ("deck", J.Str deck);
-      ( "report",
-        embed_json (Sn_analysis.Analyzer.to_json p.Snoise.Flow.pf_report) );
-      ( "conditioning",
-        J.Arr (List.map span_json p.Snoise.Flow.pf_spans) );
-      ("stiffness", stiffness_json p.Snoise.Flow.pf_stiffness);
-      ("pool", J.Arr (List.map pool_defect_json p.Snoise.Flow.pf_pool));
-      ( "reduction",
-        J.Str (Snoise.Flow.reduction_verdict_name p.Snoise.Flow.pf_reduction)
-      );
-      ("failing", J.Bool (Snoise.Flow.preflight_failing p));
-    ]
-
-let cache_verification_json ~dir (v : Sn_substrate.Cache.verification) =
-  let module SC = Sn_substrate.Cache in
-  let num i = J.Num (float_of_int i) in
-  J.Obj
-    [
-      ("schema_version", num Sn_analysis.Analyzer.schema_version);
-      ("mode", J.Str "cache");
-      ("dir", J.Str dir);
-      ( "entries",
-        J.Arr
-          (List.map
-             (fun (key, status) ->
-               J.Obj
-                 (("key", J.Str key)
-                  :: ("status", J.Str (SC.status_name status))
-                  ::
-                  (match status with
-                  | SC.Bad why -> [ ("detail", J.Str why) ]
-                  | _ -> [])))
-             v.SC.vf_entries) );
-      ("certified", num v.SC.vf_certified);
-      ("recertified", num v.SC.vf_recertified);
-      ("stale", num v.SC.vf_stale);
-      ("bad", num v.SC.vf_bad);
-      ("failing", J.Bool (v.SC.vf_bad > 0));
-    ]
+let verify_header mode =
+  [
+    ( "schema_version",
+      J.Num (float_of_int Sn_analysis.Analyzer.schema_version) );
+    ("mode", J.Str mode);
+  ]
 
 let run_verify verbose json ignores disables cache file =
   setup_logs verbose;
@@ -382,7 +289,12 @@ let run_verify verbose json ignores disables cache file =
         end;
         let module SC = Sn_substrate.Cache in
         let v = SC.verify_dir (SC.create ~dir) in
-        if json then print_endline (J.to_string (cache_verification_json ~dir v))
+        if json then
+          print_endline
+            (J.to_string
+               (SC.verification_to_json
+                  ~header:(verify_header "cache" @ [ ("dir", J.Str dir) ])
+                  v))
         else Snoise.Report.cache_verification fmt ~dir v;
         finish ();
         if v.SC.vf_bad > 0 then exit 1
@@ -413,7 +325,12 @@ let run_verify verbose json ignores disables cache file =
           }
         in
         let p = Snoise.Flow.preflight ~config netlist in
-        if json then print_endline (J.to_string (preflight_json ~deck p))
+        if json then
+          print_endline
+            (J.to_string
+               (Snoise.Flow.preflight_to_json
+                  ~header:(verify_header "deck" @ [ ("deck", J.Str deck) ])
+                  p))
         else Snoise.Report.verify fmt ~deck p;
         finish ();
         if Snoise.Flow.preflight_failing p then exit 1)
@@ -604,10 +521,10 @@ let run_request verbose socket wait lines =
       match In_channel.input_line ic with
       | Some reply ->
         print_endline reply;
-        (match Sn_server.Json.parse reply with
+        (match J.parse reply with
         | Ok j -> (
-          match Sn_server.Json.member "type" j with
-          | Some (Sn_server.Json.Str "error") -> saw_error := true
+          match J.member "type" j with
+          | Some (J.Str "error") -> saw_error := true
           | _ -> ())
         | Error _ -> saw_error := true);
         read_replies (n - 1)

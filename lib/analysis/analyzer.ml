@@ -88,12 +88,15 @@ let pp_report fmt r =
 let schema_version = 2
 
 let to_json r =
-  Printf.sprintf
-    "{\"tool\": \"snoise lint\", \"version\": \"1.0.0\", \
-     \"schema_version\": %d, \"errors\": %d, \"warnings\": %d, \
-     \"suppressed\": %d, \"diagnostics\": [%s]}"
-    schema_version
-    (List.length (errors r))
-    (List.length (warnings r))
-    r.suppressed
-    (String.concat ", " (List.map Rule.diagnostic_to_json r.diagnostics))
+  let module J = Sn_json.Json in
+  let num i = J.Num (float_of_int i) in
+  J.Obj
+    [
+      ("tool", J.Str "snoise lint");
+      ("version", J.Str "1.0.0");
+      ("schema_version", num schema_version);
+      ("errors", num (List.length (errors r)));
+      ("warnings", num (List.length (warnings r)));
+      ("suppressed", num r.suppressed);
+      ("diagnostics", J.Arr (List.map Rule.diagnostic_to_json r.diagnostics));
+    ]

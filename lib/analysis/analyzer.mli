@@ -47,7 +47,7 @@ val schema_version : int
     [snoise verify --json], which shares it).  Bumped when fields are
     added or change meaning; see docs/LINT.md. *)
 
-val to_json : report -> string
+val to_json : report -> Sn_json.Json.t
 (** Stable JSON object:
     [{"tool", "version", "schema_version", "errors", "warnings",
     "suppressed", "diagnostics": [...]}] with each diagnostic rendered

@@ -6,6 +6,7 @@ module C = Sn_circuit
 module E = C.Element
 module P = Sn_engine.Stamp_plan
 module N = Sn_numerics
+module J = Sn_json.Json
 
 let diag = Rule.diag
 let profile ctx = P.numeric_profile (Lazy.force ctx.Rule.plan)
@@ -20,6 +21,19 @@ type span = {
   sp_lo : string * float;
   sp_digits : float;
 }
+
+let span_to_json s =
+  let side (element, siemens) =
+    J.Obj [ ("element", J.Str element); ("siemens", J.Num siemens) ]
+  in
+  J.Obj
+    [
+      ("node", J.Str s.sp_node);
+      ("ratio", J.Num s.sp_ratio);
+      ("hi", side s.sp_hi);
+      ("lo", side s.sp_lo);
+      ("digits", J.Num s.sp_digits);
+    ]
 
 let span_limit = 1e13
 
@@ -86,6 +100,18 @@ type stiffness = {
   st_steps : float;
 }
 
+let stiffness_to_json st =
+  J.Obj
+    [
+      ("fast_node", J.Str st.st_fast_node);
+      ("fast_tau_s", J.Num st.st_fast_tau);
+      ("slow_node", J.Str st.st_slow_node);
+      ("slow_tau_s", J.Num st.st_slow_tau);
+      ("ratio", J.Num st.st_ratio);
+      ("suggested_dt_s", J.Num st.st_dt);
+      ("steps_to_cover", J.Num st.st_steps);
+    ]
+
 let stiffness_limit = 1e12
 
 (* a node counts as resistively tied when its conductance sum clears
@@ -151,6 +177,21 @@ type pool_defect = {
   pd_dim : int;
   pd_negative : int;
 }
+
+let pool_defect_to_json d =
+  J.Obj
+    [
+      ( "pencil",
+        J.Str
+          (match d.pd_pencil with
+          | `Conductance -> "conductance"
+          | `Capacitance -> "capacitance") );
+      ("node", J.Str d.pd_node);
+      ("defect", J.Num d.pd_defect);
+      ("tolerance", J.Num d.pd_tol);
+      ("dim", J.Num (float_of_int d.pd_dim));
+      ("negative_branches", J.Num (float_of_int d.pd_negative));
+    ]
 
 (* minimal union-find over node names (the rules module has its own;
    depending on it here would be circular: Rules registers our

@@ -37,6 +37,11 @@ type span = {
   sp_digits : float;  (** predicted surviving significant digits *)
 }
 
+val span_to_json : span -> Sn_json.Json.t
+(** [{"node", "ratio", "hi": {"element", "siemens"}, "lo": {...},
+    "digits"}] — one entry of [snoise verify --json]'s
+    ["conditioning"] array. *)
+
 val span_limit : float
 (** Spans above this (1e13: three surviving digits) are flagged. *)
 
@@ -54,6 +59,10 @@ type stiffness = {
   st_dt : float;  (** suggested step bound: [st_fast_tau / 2] *)
   st_steps : float;  (** steps to cover [5 * st_slow_tau] at [st_dt] *)
 }
+
+val stiffness_to_json : stiffness -> Sn_json.Json.t
+(** [{"fast_node", "fast_tau_s", "slow_node", "slow_tau_s", "ratio",
+    "suggested_dt_s", "steps_to_cover"}]. *)
 
 val stiffness_limit : float
 (** Ratios above this (1e12) predict step truncation. *)
@@ -74,6 +83,10 @@ type pool_defect = {
   pd_dim : int;  (** checked component size *)
   pd_negative : int;  (** negative-valued branches in the component *)
 }
+
+val pool_defect_to_json : pool_defect -> Sn_json.Json.t
+(** [{"pencil", "node", "defect", "tolerance", "dim",
+    "negative_branches"}]. *)
 
 val pool_passivity : Rule.context -> pool_defect list
 (** LDLᵀ PSD check of the deck's R/C pool.  All-positive pools are

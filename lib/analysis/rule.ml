@@ -74,36 +74,22 @@ let pp_diagnostic fmt (d : diagnostic) =
     d.loc;
   Format.fprintf fmt ": %s" d.message
 
-(* hand-rolled JSON, same conventions as Sn_engine.Diag.to_json *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let jstr s = Printf.sprintf "\"%s\"" (json_escape s)
-
 let diagnostic_to_json d =
+  let module J = Sn_json.Json in
   let file, line =
     match d.loc with
-    | None -> ("null", "null")
-    | Some l -> (jstr l.C.Netlist.file, string_of_int l.C.Netlist.line)
+    | None -> (J.Null, J.Null)
+    | Some l ->
+      (J.Str l.C.Netlist.file, J.Num (float_of_int l.C.Netlist.line))
   in
-  Printf.sprintf
-    "{\"severity\": %s, \"code\": %s, \"subject_kind\": %s, \"subject\": %s, \
-     \"message\": %s, \"file\": %s, \"line\": %s}"
-    (jstr (match d.severity with Error -> "error" | Warning -> "warning"))
-    (jstr d.code)
-    (jstr (subject_kind d.subject))
-    (jstr (subject_name d.subject))
-    (jstr d.message) file line
+  J.Obj
+    [
+      ( "severity",
+        J.Str (match d.severity with Error -> "error" | Warning -> "warning") );
+      ("code", J.Str d.code);
+      ("subject_kind", J.Str (subject_kind d.subject));
+      ("subject", J.Str (subject_name d.subject));
+      ("message", J.Str d.message);
+      ("file", file);
+      ("line", line);
+    ]

@@ -377,7 +377,8 @@ let extreme_values ctx =
    from the extracted models with fixed prefixes; a contract test in
    test_analysis.ml keeps these in sync with the merge layer. *)
 
-let substrate_prefixes = [ "rsub_"; "cwell_" ]
+let well_cap_prefix = "cwell_"
+let substrate_prefixes = [ "rsub_"; well_cap_prefix ]
 let probe_port_prefix = "backgate:"
 let well_port_prefix = "nwell:"
 
@@ -387,8 +388,11 @@ let has_prefix p s =
 let is_substrate_element name = List.exists (fun p -> has_prefix p name) substrate_prefixes
 
 (* unbound-port: a substrate port node that never met anything but the
-   macromodel itself.  Back-gate probes are observation-only by
-   design and exempt. *)
+   macromodel itself.  A well port's junction capacitor ([cwell_*])
+   is how Merge ties it to its circuit net, so the port counts as
+   bound when that capacitor's other terminal touches a circuit
+   element.  Back-gate probes are observation-only by design and
+   exempt. *)
 
 let port_bindings ctx =
   (* node -> (substrate touches, other touches) *)
@@ -409,9 +413,26 @@ let port_bindings ctx =
 
 let unbound_ports ctx =
   let tbl = port_bindings ctx in
+  let on_circuit n =
+    match Hashtbl.find_opt tbl n with Some (_, o) -> o > 0 | None -> false
+  in
+  let cap_bound = Hashtbl.create 8 in
+  List.iter
+    (fun e ->
+      if has_prefix well_cap_prefix (E.name e) then
+        match E.nodes e with
+        | [ a; b ] ->
+          if on_circuit b then Hashtbl.replace cap_bound a ();
+          if on_circuit a then Hashtbl.replace cap_bound b ()
+        | _ -> ())
+    (elements ctx);
   Hashtbl.fold
     (fun node (sub, other) acc ->
-      if sub > 0 && other = 0 && not (has_prefix probe_port_prefix node) then
+      if
+        sub > 0 && other = 0
+        && (not (has_prefix probe_port_prefix node))
+        && not (Hashtbl.mem cap_bound node)
+      then
         diag Rule.Warning "unbound-port" (Rule.Port node)
           "substrate port %s is not bound to any circuit element — did \
            the port name match its circuit node?"

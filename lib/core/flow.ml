@@ -155,6 +155,21 @@ let preflight ?config nl =
 let preflight_failing p =
   p.pf_report.A.Analyzer.diagnostics <> [] || p.pf_reduction = Refused
 
+let preflight_to_json ~header p =
+  let module J = Sn_json.Json in
+  J.Obj
+    (header
+    @ [
+        ("report", A.Analyzer.to_json p.pf_report);
+        ("conditioning", J.Arr (List.map A.Numeric.span_to_json p.pf_spans));
+        ( "stiffness",
+          Option.fold ~none:J.Null ~some:A.Numeric.stiffness_to_json
+            p.pf_stiffness );
+        ("pool", J.Arr (List.map A.Numeric.pool_defect_to_json p.pf_pool));
+        ("reduction", J.Str (reduction_verdict_name p.pf_reduction));
+        ("failing", J.Bool (preflight_failing p));
+      ])
+
 (* ------------------------------------------------------------------ *)
 (* compiled decks: the resident-service hot path.  One value holds the
    parse -> lint -> MNA -> stamp-plan chain of a deck, with the DC

@@ -121,6 +121,13 @@ val preflight_failing : preflight -> bool
     included — verify is stricter than the lint gate by design) or the
     configured reduction was refused a certificate. *)
 
+val preflight_to_json :
+  header:(string * Sn_json.Json.t) list -> preflight -> Sn_json.Json.t
+(** The [snoise verify --json] / server [verify] deck-mode object: the
+    caller's [header] members, then ["report"]
+    ({!Sn_analysis.Analyzer.to_json}), ["conditioning"], ["stiffness"]
+    ([null] when absent), ["pool"], ["reduction"] and ["failing"]. *)
+
 (* ------------------------------------------------------------------ *)
 (** {1 Compiled decks (resident flows)}
 

@@ -9,7 +9,7 @@
     rather than a bare matrix index.
 
     Diagnostics render two ways: {!pp} for humans and {!to_json} for
-    reports and CI (stable key order, no external JSON dependency). *)
+    reports and CI (a {!Sn_json.Json.t} with stable key order). *)
 
 type location = {
   analysis : string;  (** ["dc"], ["tran"], ["ac"], a sweep label… *)
@@ -89,8 +89,9 @@ val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 (** [Format.asprintf "%a" pp]. *)
 
-val to_json : t -> string
-(** Stable single-line JSON object with a ["kind"] discriminator
+val to_json : t -> Sn_json.Json.t
+(** Stable JSON object with a ["kind"] discriminator
     (["no-convergence"], ["singular-pivot"], ["step-truncated"],
-    ["bad-input"]).  Non-finite floats render as the strings ["nan"],
-    ["inf"], ["-inf"]. *)
+    ["bad-input"]) followed by ["location"] and the constructor's
+    fields.  Non-finite floats print as the strings ["nan"], ["inf"],
+    ["-inf"] ({!Sn_json.Json.to_string}'s convention). *)

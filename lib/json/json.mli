@@ -1,18 +1,20 @@
-(** Minimal JSON values for the wire protocol.
+(** Minimal JSON values: the one way the program builds and reads
+    JSON.
 
-    The repo's other JSON producers ({!Sn_engine.Diag.to_json},
-    [Sn_analysis.Analyzer.to_json]) hand-render strings; the server
-    additionally needs to {e parse} client requests, so this module
-    carries a small self-contained value type with a recursive-descent
-    parser and a deterministic printer.  No external dependency.
+    Every producer — solver diagnostics, lint and verify reports, the
+    wire protocol, the bench's [BENCH_N.json] files — builds a {!t};
+    {!parse} reads what comes from outside the process (requests,
+    files, replies).  A small self-contained value type with a
+    recursive-descent parser and a deterministic printer; no external
+    dependency.
 
     Printing is canonical and stable: object members keep their
     construction order, floats render as the shortest of [%.17g] (or a
     plain integer when exact), and non-finite floats render as the
-    strings ["nan"], ["inf"], ["-inf"] — the same convention as
-    {!Sn_engine.Diag.to_json}.  Stable bytes matter: the protocol
-    tests assert that batched and individual sweeps produce
-    byte-identical result payloads. *)
+    strings ["nan"], ["inf"], ["-inf"].  Stable bytes matter: the
+    protocol tests assert that batched and individual sweeps produce
+    byte-identical result payloads, and [test/golden] pins the CLI's
+    JSON reports. *)
 
 type t =
   | Null

@@ -1,3 +1,5 @@
+open Sn_json
+
 type verb =
   | Op
   | Ac
@@ -219,11 +221,6 @@ let error ?(id = Json.Null) ?(data = []) code message =
     ]
 
 let diag_error ?id d =
-  let diag_json =
-    match Json.parse (Sn_engine.Diag.to_json d) with
-    | Ok j -> j
-    | Error _ -> Json.Str (Sn_engine.Diag.to_string d)
-  in
   let code =
     match d with
     | Sn_engine.Diag.Bad_input { loc; _ }
@@ -231,5 +228,5 @@ let diag_error ?id d =
       Lint_refused
     | _ -> Engine_diag
   in
-  error ?id ~data:[ ("diag", diag_json) ] code
+  error ?id ~data:[ ("diag", Sn_engine.Diag.to_json d) ] code
     (Sn_engine.Diag.to_string d)

@@ -12,6 +12,8 @@
     those bytes are produced and consumed, so the doc and the
     implementation cannot drift apart silently. *)
 
+open Sn_json
+
 (** What a request asks for.  Analysis verbs ([Op] … [Extract]) may do
     real solver work and go through the service queue; control verbs
     ([Stats], [Ping], [Health], [Shutdown]) are answered immediately

@@ -1,3 +1,5 @@
+open Sn_json
+
 let log_src = Logs.Src.create "sn.server.socket" ~doc:"snoise socket server"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)

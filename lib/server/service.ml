@@ -1,4 +1,4 @@
-module J = Json
+module J = Sn_json.Json
 module P = Protocol
 module C = Sn_circuit
 module E = Sn_engine
@@ -127,8 +127,6 @@ exception Bad of string
 exception Unreadable of string
 exception Lint_errors of A.Analyzer.report
 
-let embed_json s = match J.parse s with Ok j -> j | Error _ -> J.Str s
-
 let name_hint = function
   | [] -> ""
   | cs -> Printf.sprintf " (did you mean %s?)" (String.concat ", " cs)
@@ -140,7 +138,7 @@ let guard_result ~id f =
   | exception Lint_errors report ->
     Error
       (P.error ~id
-         ~data:[ ("lint", embed_json (A.Analyzer.to_json report)) ]
+         ~data:[ ("lint", A.Analyzer.to_json report) ]
          P.Lint_refused "lint errors refused simulation")
   | exception Bad m -> Error (P.error ~id P.Bad_request m)
   | exception Unreadable m -> Error (P.error ~id P.Deck_unreadable m)
@@ -656,7 +654,7 @@ let run_tran t (req : P.request) =
   let truncated =
     match ds.E.Tran.truncated with
     | None -> J.Null
-    | Some d -> embed_json (E.Diag.to_json d)
+    | Some d -> E.Diag.to_json d
   in
   ( J.Obj
       [
@@ -696,7 +694,7 @@ let run_lint t (req : P.request) =
   in
   ( J.Obj
       [
-        ("report", embed_json (A.Analyzer.to_json report));
+        ("report", A.Analyzer.to_json report);
         ("failing", J.Bool failing);
       ],
     P.Not_applicable,
@@ -708,58 +706,12 @@ let run_lint t (req : P.request) =
    neither re-verifies the resident plan cache.  All three are
    hash-or-LDL^T work — never an extraction, solve or CG iteration. *)
 
-let span_json (s : A.Numeric.span) =
-  J.Obj
-    [
-      ("node", J.Str s.A.Numeric.sp_node);
-      ("ratio", J.Num s.A.Numeric.sp_ratio);
-      ( "hi",
-        J.Obj
-          [
-            ("element", J.Str (fst s.A.Numeric.sp_hi));
-            ("siemens", J.Num (snd s.A.Numeric.sp_hi));
-          ] );
-      ( "lo",
-        J.Obj
-          [
-            ("element", J.Str (fst s.A.Numeric.sp_lo));
-            ("siemens", J.Num (snd s.A.Numeric.sp_lo));
-          ] );
-      ("digits", J.Num s.A.Numeric.sp_digits);
-    ]
-
-let stiffness_json = function
-  | None -> J.Null
-  | Some (st : A.Numeric.stiffness) ->
-    J.Obj
-      [
-        ("fast_node", J.Str st.A.Numeric.st_fast_node);
-        ("fast_tau_s", J.Num st.A.Numeric.st_fast_tau);
-        ("slow_node", J.Str st.A.Numeric.st_slow_node);
-        ("slow_tau_s", J.Num st.A.Numeric.st_slow_tau);
-        ("ratio", J.Num st.A.Numeric.st_ratio);
-        ("suggested_dt_s", J.Num st.A.Numeric.st_dt);
-        ("steps_to_cover", J.Num st.A.Numeric.st_steps);
-      ]
-
-let pool_defect_json (d : A.Numeric.pool_defect) =
-  J.Obj
-    [
-      ( "pencil",
-        J.Str
-          (match d.A.Numeric.pd_pencil with
-          | `Conductance -> "conductance"
-          | `Capacitance -> "capacitance") );
-      ("node", J.Str d.A.Numeric.pd_node);
-      ("defect", J.Num d.A.Numeric.pd_defect);
-      ("tolerance", J.Num d.A.Numeric.pd_tol);
-      ("dim", J.Num (float_of_int d.A.Numeric.pd_dim));
-      ("negative_branches", J.Num (float_of_int d.A.Numeric.pd_negative));
-    ]
-
 let run_verify t (req : P.request) =
   let m = params_members req.P.params in
   let num i = J.Num (float_of_int i) in
+  let header mode =
+    [ ("schema_version", num A.Analyzer.schema_version); ("mode", J.Str mode) ]
+  in
   match (opt_str m "cache_dir", req.P.source) with
   | Some _, Some _ ->
     raise (Bad "give a deck or \"cache_dir\", not both")
@@ -768,62 +720,29 @@ let run_verify t (req : P.request) =
       raise (Bad (Printf.sprintf "cache_dir %S is not a directory" dir));
     let module SC = Sn_substrate.Cache in
     let v = SC.verify_dir (SC.create ~dir) in
-    ( J.Obj
-        [
-          ("schema_version", num A.Analyzer.schema_version);
-          ("mode", J.Str "cache");
-          ("dir", J.Str dir);
-          ( "entries",
-            J.Arr
-              (List.map
-                 (fun (key, status) ->
-                   J.Obj
-                     (("key", J.Str key)
-                      :: ("status", J.Str (SC.status_name status))
-                      ::
-                      (match status with
-                      | SC.Bad why -> [ ("detail", J.Str why) ]
-                      | _ -> [])))
-                 v.SC.vf_entries) );
-          ("certified", num v.SC.vf_certified);
-          ("recertified", num v.SC.vf_recertified);
-          ("stale", num v.SC.vf_stale);
-          ("bad", num v.SC.vf_bad);
-          ("failing", J.Bool (v.SC.vf_bad > 0));
-        ],
+    ( SC.verification_to_json
+        ~header:(header "cache" @ [ ("dir", J.Str dir) ])
+        v,
       P.Not_applicable,
       P.Not_applicable )
   | None, Some src ->
     let text = source_text src in
     let nl, _ = netlist_of t ~src ~text ~overrides:req.P.overrides in
-    let p = Flow.preflight nl in
-    ( J.Obj
-        [
-          ("schema_version", num A.Analyzer.schema_version);
-          ("mode", J.Str "deck");
-          ("report", embed_json (A.Analyzer.to_json p.Flow.pf_report));
-          ("conditioning", J.Arr (List.map span_json p.Flow.pf_spans));
-          ("stiffness", stiffness_json p.Flow.pf_stiffness);
-          ("pool", J.Arr (List.map pool_defect_json p.Flow.pf_pool));
-          ( "reduction",
-            J.Str (Flow.reduction_verdict_name p.Flow.pf_reduction) );
-          ("failing", J.Bool (Flow.preflight_failing p));
-        ],
+    ( Flow.preflight_to_json ~header:(header "deck") (Flow.preflight nl),
       P.Not_applicable,
       P.Not_applicable )
   | None, None ->
     let pv = Plan_cache.verify_plans t.cache in
     ( J.Obj
-        [
-          ("schema_version", num A.Analyzer.schema_version);
-          ("mode", J.Str "plans");
-          ("plans", num pv.Plan_cache.pv_plans);
-          ("exact", num pv.Plan_cache.pv_exact);
-          ("certified", num pv.Plan_cache.pv_certified);
-          ("uncertified", num pv.Plan_cache.pv_uncertified);
-          ("bad", num pv.Plan_cache.pv_bad);
-          ("failing", J.Bool (pv.Plan_cache.pv_bad > 0));
-        ],
+        (header "plans"
+        @ [
+            ("plans", num pv.Plan_cache.pv_plans);
+            ("exact", num pv.Plan_cache.pv_exact);
+            ("certified", num pv.Plan_cache.pv_certified);
+            ("uncertified", num pv.Plan_cache.pv_uncertified);
+            ("bad", num pv.Plan_cache.pv_bad);
+            ("failing", J.Bool (pv.Plan_cache.pv_bad > 0));
+          ]),
       P.Not_applicable,
       P.Not_applicable )
 

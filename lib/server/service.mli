@@ -31,6 +31,8 @@
     progress counters.  Only requests with {e equal} deadlines
     coalesce. *)
 
+open Sn_json
+
 type config = {
   max_queue : int;  (** bounded-queue capacity (default 256) *)
   client_quota : int;

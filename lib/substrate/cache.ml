@@ -193,6 +193,26 @@ let status_name = function
   | Stale -> "stale"
   | Bad _ -> "bad"
 
+let verification_to_json ~header v =
+  let module J = Sn_json.Json in
+  let num i = J.Num (float_of_int i) in
+  let entry (key, status) =
+    J.Obj
+      (("key", J.Str key)
+       :: ("status", J.Str (status_name status))
+       :: (match status with Bad why -> [ ("detail", J.Str why) ] | _ -> []))
+  in
+  J.Obj
+    (header
+    @ [
+        ("entries", J.Arr (List.map entry v.vf_entries));
+        ("certified", num v.vf_certified);
+        ("recertified", num v.vf_recertified);
+        ("stale", num v.vf_stale);
+        ("bad", num v.vf_bad);
+        ("failing", J.Bool (v.vf_bad > 0));
+      ])
+
 let verify_dir t =
   let keys =
     (try Sys.readdir t.dir with Sys_error _ -> [||])

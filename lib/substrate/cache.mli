@@ -100,6 +100,13 @@ val status_name : entry_status -> string
 (** Stable kebab-case name for JSON output: ["certified"],
     ["recertified"], ["stale"], ["bad"]. *)
 
+val verification_to_json :
+  header:(string * Sn_json.Json.t) list -> verification -> Sn_json.Json.t
+(** The [snoise verify --json --cache] / server [verify] object: the
+    caller's [header] members, then ["entries"] (each [{"key",
+    "status"}] plus ["detail"] for a bad entry), the four counts and
+    ["failing"]. *)
+
 val verify_entry : t -> key:string -> entry_status
 (** Judge a single entry. *)
 

@@ -209,7 +209,33 @@ let test_unbound_port_and_untied_ring () =
     C.Netlist.create [ r "rsub_0" "backgate:m1" "0" 50.0; r "r1" "x" "0" 1.0 ]
   in
   Alcotest.(check bool) "probe exempt" false
-    (has "unbound-port" (analyze nl).A.Analyzer.diagnostics)
+    (has "unbound-port" (analyze nl).A.Analyzer.diagnostics);
+  (* a well port tied to its circuit net only through its junction
+     capacitor (how Merge renders it) is bound *)
+  let unbound_subjects nl =
+    List.filter_map
+      (fun (d : A.Rule.diagnostic) ->
+        if String.equal d.A.Rule.code "unbound-port" then
+          Some (A.Rule.subject_name d.A.Rule.subject)
+        else None)
+      (analyze nl).A.Analyzer.diagnostics
+  in
+  let nl =
+    C.Netlist.create
+      [ r "rsub_0" "nwell:vdd" "0" 50.0; c "cwell_0" "nwell:vdd" "vdd" 1e-13;
+        v "vdd" "vdd" "0" 1.8; r "rl" "vdd" "0" 1e3 ]
+  in
+  Alcotest.(check (list string)) "cwell-bound well port" []
+    (unbound_subjects nl);
+  (* ...but a junction capacitor to a net nothing else touches binds
+     nothing *)
+  let nl =
+    C.Netlist.create
+      [ r "rsub_0" "nwell:vdd" "0" 50.0; c "cwell_0" "nwell:vdd" "vdd" 1e-13;
+        r "r1" "x" "0" 1.0 ]
+  in
+  Alcotest.(check bool) "cwell to an unused net still warns" true
+    (List.mem "nwell:vdd" (unbound_subjects nl))
 
 (* ------------------------------------------------------------------ *)
 (* structural singularity prediction, cross-checked against the
@@ -513,7 +539,7 @@ let test_extract_tile_degenerate () =
 
 let test_json_shape () =
   let nl = C.Netlist.create [ r "r1" "a" "0" 1.0e3; r "r2" "a" "b" 1.0e3 ] in
-  let s = A.Analyzer.to_json (analyze nl) in
+  let s = Sn_json.Json.to_string (A.Analyzer.to_json (analyze nl)) in
   List.iter
     (fun key ->
       Alcotest.(check bool) ("has " ^ key) true (contains_sub s key))

@@ -11,6 +11,7 @@ module Diag = Sn_engine.Diag
 module Fault = Sn_engine.Fault
 module Pool = Sn_engine.Pool
 module Mna = Sn_engine.Mna
+module Json = Sn_json.Json
 
 let check_close tol = Alcotest.(check (float tol))
 
@@ -366,25 +367,60 @@ let test_unknown_node_candidates () =
 
 let test_diag_json () =
   let j =
-    Diag.to_json
-      (Diag.Singular_pivot
-         { loc = Diag.loc "dc"; pivot = 3;
-           unknown = Some (Diag.Branch "v1") })
+    Json.to_string
+    @@ Diag.to_json
+         (Diag.Singular_pivot
+            { loc = Diag.loc "dc"; pivot = 3;
+              unknown = Some (Diag.Branch "v1") })
   in
   Alcotest.(check bool) "kind" true (contains j "\"kind\": \"singular-pivot\"");
   Alcotest.(check bool) "branch" true (contains j "\"branch\": \"v1\"");
   let j2 =
-    Diag.to_json
-      (Diag.No_convergence
-         { loc = Diag.loc "dc"; iterations = 12; residual = 0.5;
-           worst = Some (Diag.Node "out");
-           attempts =
-             [ { Diag.rung = Diag.Plain_newton; iterations = 12;
-                 converged = false } ] })
+    Json.to_string
+    @@ Diag.to_json
+         (Diag.No_convergence
+            { loc = Diag.loc "dc"; iterations = 12; residual = 0.5;
+              worst = Some (Diag.Node "out");
+              attempts =
+                [ { Diag.rung = Diag.Plain_newton; iterations = 12;
+                    converged = false } ] })
   in
   Alcotest.(check bool) "kind 2" true
     (contains j2 "\"kind\": \"no-convergence\"");
-  Alcotest.(check bool) "rung name" true (contains j2 "\"plain-newton\"")
+  Alcotest.(check bool) "rung name" true (contains j2 "\"plain-newton\"");
+  (* every constructor, carrying non-finite floats, prints as JSON that
+     parses back to an object with the same kind and the same bytes *)
+  List.iter
+    (fun (kind, d) ->
+      let s = Json.to_string (Diag.to_json d) in
+      match Json.parse s with
+      | Error e -> Alcotest.failf "%s: %s does not parse: %s" kind s e
+      | Ok j ->
+        Alcotest.(check (option string))
+          (kind ^ " kind") (Some kind)
+          (Option.bind (Json.member "kind" j) Json.to_str);
+        Alcotest.(check string) (kind ^ " reprints") s (Json.to_string j))
+    [
+      ( "no-convergence",
+        Diag.No_convergence
+          { loc = Diag.loc ~time:Float.nan "tran"; iterations = 50;
+            residual = Float.nan; worst = None;
+            attempts =
+              [ { Diag.rung = Diag.Gmin_stepping; iterations = 50;
+                  converged = false } ] } );
+      ( "singular-pivot",
+        Diag.Singular_pivot
+          { loc = Diag.loc ~freq:Float.infinity "ac"; pivot = -1;
+            unknown = None } );
+      ( "step-truncated",
+        Diag.Step_truncated
+          { loc = Diag.loc ~time:Float.neg_infinity "tran";
+            dt_final = Float.infinity; retries = 1; completed_points = 0 } );
+      ( "bad-input",
+        Diag.Bad_input
+          { loc = Diag.loc ~freq:Float.nan "lint";
+            what = "a \"quoted\"\n\tline" } );
+    ]
 
 let suites =
   [

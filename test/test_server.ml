@@ -3,7 +3,7 @@
    batching byte-identity, quota/backpressure, and a real socket
    session against a threaded server. *)
 
-module J = Sn_server.Json
+module J = Sn_json.Json
 module P = Sn_server.Protocol
 module Sv = Sn_server.Service
 module Srv = Sn_server.Server
@@ -80,8 +80,7 @@ let test_json_roundtrip () =
     cases
 
 let test_json_specials () =
-  (* non-finite floats render as strings (the Diag.to_json convention)
-     and integers render bare *)
+  (* non-finite floats render as strings and integers render bare *)
   Alcotest.(check string) "nan" {|"nan"|} (J.to_string (J.Num Float.nan));
   Alcotest.(check string) "inf" {|"inf"|}
     (J.to_string (J.Num Float.infinity));
@@ -172,7 +171,10 @@ let test_lint_refused () =
   Alcotest.(check string) "code" "lint-refused" (error_code reply);
   (* the embedded analyzer report is structured JSON, not a string *)
   (match member "lint" (member "error" reply) with
-  | J.Obj _ -> ()
+  | J.Obj _ as lint -> (
+    match member "diagnostics" lint with
+    | J.Arr (_ :: _) -> ()
+    | other -> Alcotest.failf "lint diagnostics: %s" (J.to_string other))
   | other -> Alcotest.failf "lint data not an object: %s" (J.to_string other));
   (* the lint verb reports instead of refusing *)
   let reply = handle1 svc (request ~verb:"lint" ~deck:bad_lint_deck ()) in
@@ -180,6 +182,22 @@ let test_lint_refused () =
   match member "failing" (member "result" reply) with
   | J.Bool true -> ()
   | other -> Alcotest.failf "expected failing=true, got %s" (J.to_string other)
+
+(* twenty decades of conductance at node b: lint only warns, and the
+   DC solve then hits a singular pivot there *)
+let singular_deck =
+  "* ill-conditioned\ni1 0 a dc 1m\nrbig a b 1e-20\nr2 b 0 1\n.end\n"
+
+let test_engine_diag_embedded () =
+  let svc = Sv.create () in
+  let reply = handle1 svc (request ~verb:"op" ~deck:singular_deck ()) in
+  Alcotest.(check string) "code" "engine-diag" (error_code reply);
+  match member "diag" (member "error" reply) with
+  | J.Obj _ as d ->
+    Alcotest.(check string) "kind" "singular-pivot" (str (member "kind" d));
+    Alcotest.(check string) "names the node" "b"
+      (str (member "node" (member "unknown" d)))
+  | other -> Alcotest.failf "diag data not an object: %s" (J.to_string other)
 
 let test_plan_cache_lifecycle () =
   let svc = Sv.create () in
@@ -927,6 +945,8 @@ let suites =
       [
         Alcotest.test_case "malformed requests" `Quick test_malformed_requests;
         Alcotest.test_case "lint refusal" `Quick test_lint_refused;
+        Alcotest.test_case "engine diag embedded" `Quick
+          test_engine_diag_embedded;
         Alcotest.test_case "plan cache lifecycle" `Quick
           test_plan_cache_lifecycle;
         Alcotest.test_case "batch identity (jobs 1)" `Quick
