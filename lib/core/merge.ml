@@ -30,9 +30,9 @@ let of_rc_netlist nl =
   List.map
     (function
       | Rc.Res { name; n1; n2; ohms } ->
-        C.Element.Resistor { name = "itc_" ^ name; n1; n2; ohms }
+        C.Element.Resistor { name = "ritc_" ^ name; n1; n2; ohms }
       | Rc.Cap { name; n1; n2; farads } ->
-        C.Element.Capacitor { name = "itc_" ^ name; n1; n2; farads })
+        C.Element.Capacitor { name = "citc_" ^ name; n1; n2; farads })
     nl
 
 let merged ~title ~circuit ~macromodel ~interconnect =

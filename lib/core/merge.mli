@@ -17,7 +17,9 @@ val of_macromodel :
     port node ["nwell:<net>"] and its circuit net node ["<net>"]. *)
 
 val of_rc_netlist : Sn_interconnect.Rc_netlist.t -> Sn_circuit.Element.t list
-(** Interconnect R / C as circuit elements (names prefixed ["itc_"]). *)
+(** Interconnect R / C as circuit elements, named ["ritc_<name>"] and
+    ["citc_<name>"]: the prefix keeps the SPICE kind letter first, so
+    an exported deck re-parses to the same element kinds. *)
 
 val merged :
   title:string ->

@@ -65,7 +65,7 @@ val of_macromodel : Sn_substrate.Macromodel.t -> t
 val of_rc_netlist :
   ports:string list -> Sn_interconnect.Rc_netlist.t -> t
 (** The interconnect parasitics as a reduced-model pool (elements are
-    {!Merge.of_rc_netlist}, names prefixed ["itc_"]). *)
+    {!Merge.of_rc_netlist}, names prefixed ["ritc_"] / ["citc_"]). *)
 
 (** {1 Reduction} *)
 

@@ -4,19 +4,25 @@ let next_power_of_two n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 1
 
-(* Iterative in-place Cooley-Tukey with bit-reversal permutation. *)
-let transform ~inverse x =
-  let n = Array.length x in
+(* The one transform: iterative in-place radix-2 Cooley-Tukey on split
+   real/imaginary float arrays (unboxed, so the butterflies allocate
+   nothing), with a bit-reversal permutation first.  The twiddles come
+   from a per-call table holding exact cos/sin of 2 pi k / n, not from
+   a running product, so their error does not grow with k.  The table
+   is local to the call: no state outlives it.  No 1/n scaling. *)
+let transform ~inverse re im =
+  let n = Array.length re in
   if not (is_power_of_two n) then
     invalid_arg "Fft: length must be a power of two";
-  let a = Array.copy x in
-  (* bit reversal *)
   let j = ref 0 in
   for i = 0 to n - 2 do
     if i < !j then begin
-      let t = a.(i) in
-      a.(i) <- a.(!j);
-      a.(!j) <- t
+      let t = re.(i) in
+      re.(i) <- re.(!j);
+      re.(!j) <- t;
+      let t = im.(i) in
+      im.(i) <- im.(!j);
+      im.(!j) <- t
     end;
     let m = ref (n lsr 1) in
     while !m >= 1 && !j land !m <> 0 do
@@ -26,32 +32,42 @@ let transform ~inverse x =
     j := !j lor !m
   done;
   let sign = if inverse then 1.0 else -1.0 in
+  let half = n / 2 in
+  let ang k = Units.two_pi *. float_of_int k /. float_of_int n in
+  let tw_re = Array.init half (fun k -> cos (ang k)) in
+  let tw_im = Array.init half (fun k -> sign *. sin (ang k)) in
   let len = ref 2 in
   while !len <= n do
-    let ang = sign *. 2.0 *. Units.pi /. float_of_int !len in
-    let wlen = { Complex.re = cos ang; im = sin ang } in
+    let h = !len / 2 and stride = n / !len in
     let i = ref 0 in
     while !i < n do
-      let w = ref Complex.one in
-      for k = 0 to (!len / 2) - 1 do
-        let u = a.(!i + k) in
-        let v = Complex.mul a.(!i + k + (!len / 2)) !w in
-        a.(!i + k) <- Complex.add u v;
-        a.(!i + k + (!len / 2)) <- Complex.sub u v;
-        w := Complex.mul !w wlen
+      for k = 0 to h - 1 do
+        let a = !i + k in
+        let b = a + h in
+        let wr = tw_re.(k * stride) and wi = tw_im.(k * stride) in
+        let br = re.(b) and bi = im.(b) in
+        let vr = (br *. wr) -. (bi *. wi) and vi = (br *. wi) +. (bi *. wr) in
+        let ar = re.(a) and ai = im.(a) in
+        re.(a) <- ar +. vr;
+        im.(a) <- ai +. vi;
+        re.(b) <- ar -. vr;
+        im.(b) <- ai -. vi
       done;
       i := !i + !len
     done;
     len := !len * 2
-  done;
-  if inverse then begin
-    let inv_n = 1.0 /. float_of_int n in
-    Array.map (fun c -> { Complex.re = c.Complex.re *. inv_n; im = c.Complex.im *. inv_n }) a
-  end
-  else a
+  done
 
-let fft x = transform ~inverse:false x
-let ifft x = transform ~inverse:true x
+let complex_transform ~inverse x =
+  let n = Array.length x in
+  let re = Array.init n (fun i -> x.(i).Complex.re) in
+  let im = Array.init n (fun i -> x.(i).Complex.im) in
+  transform ~inverse re im;
+  let k = if inverse then 1.0 /. float_of_int n else 1.0 in
+  Array.init n (fun i -> { Complex.re = re.(i) *. k; im = im.(i) *. k })
+
+let fft x = complex_transform ~inverse:false x
+let ifft x = complex_transform ~inverse:true x
 
 let hann n =
   if n <= 1 then Array.make (max n 0) 1.0
@@ -78,12 +94,11 @@ let amplitude_spectrum ?(window = `Hann) ~fs samples =
       (w, coherent_gain w)
   in
   let np = next_power_of_two n in
-  let padded =
-    Array.init np (fun i ->
-        if i < n then { Complex.re = samples.(i) *. w.(i); im = 0.0 }
-        else Complex.zero)
-  in
-  let spec = fft padded in
+  let re = Array.make np 0.0 and im = Array.make np 0.0 in
+  for i = 0 to n - 1 do
+    re.(i) <- samples.(i) *. w.(i)
+  done;
+  transform ~inverse:false re im;
   let half = (np / 2) + 1 in
   let scale k =
     (* single-sided: double all bins except DC and Nyquist *)
@@ -92,7 +107,7 @@ let amplitude_spectrum ?(window = `Hann) ~fs samples =
   in
   {
     frequencies = Array.init half (fun k -> float_of_int k *. fs /. float_of_int np);
-    amplitudes = Array.init half (fun k -> Complex.norm spec.(k) *. scale k);
+    amplitudes = Array.init half (fun k -> Float.hypot re.(k) im.(k) *. scale k);
   }
 
 let peak_near s ~f ~span =

@@ -1,6 +1,13 @@
 (** Radix-2 FFT and spectral helpers used to "measure" spur levels on
     simulated waveforms, playing the role of the paper's spectrum
-    analyzer. *)
+    analyzer.
+
+    One in-place O(N log N) kernel serves every transform here: it runs
+    on split real/imaginary float arrays, so the butterflies allocate
+    nothing, and its twiddles are exact [cos]/[sin] of [2 pi k / N]
+    from a table built per call (no running product, no table kept
+    between calls).  {!fft} and {!ifft} only convert at the [Complex.t]
+    boundary; {!amplitude_spectrum} uses the kernel directly. *)
 
 val is_power_of_two : int -> bool
 

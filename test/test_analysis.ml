@@ -192,7 +192,7 @@ let test_unbound_port_and_untied_ring () =
   let nl =
     C.Netlist.create
       [ r "rsub_0" "gr" "0" 50.0; r "rsub_1" "gr" "sub_inject" 200.0;
-        r "itc_gr" "gr" "0" 0.5; v "vn" "sub_inject" "0" 1.0 ]
+        r "ritc_gr" "gr" "0" 0.5; v "vn" "sub_inject" "0" 1.0 ]
   in
   let ds = (analyze nl).A.Analyzer.diagnostics in
   Alcotest.(check bool) "bound ok" false (has "unbound-port" ds);
@@ -200,7 +200,7 @@ let test_unbound_port_and_untied_ring () =
   (* bound only through a wire that itself floats: untied-ring *)
   let nl =
     C.Netlist.create
-      [ r "rsub_0" "gr" "0" 50.0; r "itc_gr" "gr" "ring_island" 0.5;
+      [ r "rsub_0" "gr" "0" 50.0; r "ritc_gr" "gr" "ring_island" 0.5;
         r "r1" "x" "0" 1.0 ]
   in
   check_has "untied ring" "untied-ring" (analyze nl);
@@ -649,9 +649,13 @@ let test_probe_deck_lints_clean () =
 (* the merged VCO impact model: error-free, and the merge layer
    really uses the name prefixes the port-binding rules key on *)
 
+let merged_vco =
+  lazy
+    (Snoise.Flow.vco_merged
+       (Snoise.Flow.build_vco Sn_testchip.Vco_chip.default ~vtune:0.0))
+
 let test_merged_vco_clean_and_contract () =
-  let flow = Snoise.Flow.build_vco Sn_testchip.Vco_chip.default ~vtune:0.0 in
-  let nl = Snoise.Flow.vco_merged flow in
+  let nl = Lazy.force merged_vco in
   let report = analyze nl in
   List.iter
     (fun d -> Format.eprintf "%s@." (render d))
@@ -660,11 +664,46 @@ let test_merged_vco_clean_and_contract () =
   let names = List.map E.name (C.Netlist.elements nl) in
   Alcotest.(check bool) "substrate prefix contract" true
     (List.exists A.Rules.is_substrate_element names);
-  Alcotest.(check bool) "interconnect prefix contract" true
-    (List.exists (has_prefix "itc_") names);
+  Alcotest.(check bool) "interconnect resistor prefix contract" true
+    (List.exists (has_prefix "ritc_") names);
+  Alcotest.(check bool) "interconnect capacitor prefix contract" true
+    (List.exists (has_prefix "citc_") names);
   let nodes = C.Netlist.nodes nl in
   Alcotest.(check bool) "probe port contract" true
     (List.exists (has_prefix A.Rules.probe_port_prefix) nodes)
+
+(* the exported deck ([snoise netlist]) re-parses to the same model:
+   SPICE takes an element's kind from its first letter and folds names
+   to lower case, so every merge-layer prefix must keep the kind letter *)
+let element_kind = function
+  | E.Resistor _ -> "R"
+  | E.Capacitor _ -> "C"
+  | E.Inductor _ -> "L"
+  | E.Vsource _ -> "V"
+  | E.Isource _ -> "I"
+  | E.Vccs _ -> "G"
+  | E.Vcvs _ -> "E"
+  | E.Mosfet _ -> "M"
+  | E.Varactor _ -> "varactor"
+
+let test_merged_vco_spice_roundtrip () =
+  let nl = Lazy.force merged_vco in
+  let reparsed = C.Spice.of_string (C.Spice.to_string nl) in
+  let kinds nl =
+    List.map
+      (fun e -> (String.lowercase_ascii (E.name e), element_kind e))
+      (C.Netlist.elements nl)
+    |> List.sort compare
+  in
+  Alcotest.(check (list (pair string string))) "element kinds survive"
+    (kinds nl) (kinds reparsed);
+  let diagnostics nl =
+    List.map
+      (fun d -> String.lowercase_ascii (render d))
+      (analyze nl).A.Analyzer.diagnostics
+  in
+  Alcotest.(check (list string)) "same diagnostics" (diagnostics nl)
+    (diagnostics reparsed)
 
 (* ------------------------------------------------------------------ *)
 (* QCheck soundness harness: on random small decks, a clean bill of
@@ -764,5 +803,7 @@ let suites =
           test_probe_deck_lints_clean;
         Alcotest.test_case "merged VCO is error-free (contract)" `Slow
           test_merged_vco_clean_and_contract;
+        Alcotest.test_case "merged VCO deck round-trips through SPICE" `Slow
+          test_merged_vco_spice_roundtrip;
       ] );
   ]

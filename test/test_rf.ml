@@ -241,6 +241,39 @@ let test_behavioral_multitone () =
   check_close 0.2 "tone 1" (U.dbm_of_vpeak 0.01) (at 3.0e6);
   check_close 0.2 "tone 2" (U.dbm_of_vpeak 0.02) (at 7.0e6)
 
+let test_behavioral_matches_closed_form () =
+  (* the rotating-phasor synthesis against eq. (1) evaluated directly,
+     sample by sample, with complex AM and FM indices on two tones *)
+  let fc = 64.0e6 and fs = 320.0e6 and n = 65536 and ac = 0.6 in
+  let tones =
+    [ { Behavioral.f_noise = 10.0e6; beta = { Complex.re = 0.03; im = -0.01 };
+        m_am = { Complex.re = 2.0e-3; im = 1.5e-3 } };
+      { Behavioral.f_noise = 1.3e6; beta = { Complex.re = -0.004; im = 0.02 };
+        m_am = { Complex.re = -1.0e-3; im = 4.0e-3 } } ]
+  in
+  let samples =
+    Behavioral.synthesize ~carrier_freq:fc ~amplitude:ac ~tones ~fs ~n
+  in
+  let re_of z t f =
+    let wm = U.two_pi *. f *. t in
+    (z.Complex.re *. cos wm) -. (z.Complex.im *. sin wm)
+  in
+  let max_err = ref 0.0 in
+  Array.iteri
+    (fun k v ->
+      let t = float_of_int k /. fs in
+      let sum g =
+        List.fold_left (fun acc tn -> acc +. g tn t tn.Behavioral.f_noise) 0.0 tones
+      in
+      let am = sum (fun tn -> re_of tn.Behavioral.m_am)
+      and pm = sum (fun tn -> re_of tn.Behavioral.beta) in
+      let closed = ac *. (1.0 +. am) *. cos ((U.two_pi *. fc *. t) +. pm) in
+      max_err := Float.max !max_err (Float.abs (v -. closed)))
+    samples;
+  Alcotest.(check bool)
+    (Printf.sprintf "max sample error %.2e <= 1e-10" !max_err)
+    true (!max_err <= 1.0e-10)
+
 (* ------------------------------------------------------------------ *)
 (* Digital aggressor *)
 
@@ -384,6 +417,8 @@ let suites =
         Alcotest.test_case "undersampling rejected" `Quick
           test_behavioral_rejects_undersampling;
         Alcotest.test_case "multi-tone" `Quick test_behavioral_multitone;
+        Alcotest.test_case "matches closed-form eq. (1)" `Quick
+          test_behavioral_matches_closed_form;
       ] );
     ( "rf.aggressor",
       [
