@@ -12,15 +12,20 @@ test:
 check:
 	dune build && dune runtest
 
-# structural ERC over every shipped deck (rule catalogue: docs/LINT.md);
-# pathological test decks are expected to fail and are skipped here
+# structural ERC over every shipped deck (rule catalogue: docs/LINT.md)
+# and over the merged VCO deck as `snoise netlist` exports it (written
+# to a temp file, so no generated deck is committed); pathological test
+# decks are expected to fail and are skipped here
 lint: build
 	@status=0; \
+	vco=$$(mktemp "$${TMPDIR:-/tmp}/snoise_vco.XXXXXX"); \
+	dune exec bin/snoise_cli.exe -- netlist > "$$vco" || status=1; \
 	for deck in examples/decks/*.sp test/decks/clean_rc.sp \
-	    test/decks/isource_open.sp; do \
+	    test/decks/isource_open.sp "$$vco"; do \
 	  echo "== snoise lint $$deck"; \
 	  dune exec bin/snoise_cli.exe -- lint "$$deck" || status=1; \
 	done; \
+	rm -f "$$vco"; \
 	exit $$status
 
 bench:

@@ -7,38 +7,34 @@
 open Cmdliner
 module J = Sn_json.Json
 
-let setup_logs
-    (verbose, jobs, no_lint, cache_dir, no_cache, reduce_order, reduce_tol) =
+(* per-process settings: logging, the worker pool width and the tile
+   cache live as long as the process *)
+let setup_process verbose jobs cache_dir no_cache =
   Fmt_tty.setup_std_outputs ();
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level (if verbose then Some Logs.Info else Some Logs.Warning);
   Option.iter Snoise.Sweep.set_jobs jobs;
-  if no_lint then Snoise.Flow.disable_lint ();
-  (match (reduce_order, reduce_tol) with
-  | None, None -> ()
-  | Some _, Some _ ->
-    Format.eprintf
-      "snoise: --reduce-order and --reduce-tol are mutually exclusive@.";
-    exit 1
-  | Some k, None ->
-    Snoise.Flow.set_default_reduction
-      (Some
-         {
-           Snoise.Reduced_model.default_config with
-           Snoise.Reduced_model.order = Snoise.Reduced_model.Fixed k;
-         })
-  | None, Some e ->
-    Snoise.Flow.set_default_reduction
-      (Some
-         {
-           Snoise.Reduced_model.default_config with
-           Snoise.Reduced_model.order = Snoise.Reduced_model.Auto e;
-         }));
   if no_cache then Sn_substrate.Cache.set_default_dir None
   else
     Option.iter
       (fun d -> Sn_substrate.Cache.set_default_dir (Some d))
       cache_dir
+
+(* per-run settings: the options record every flow of this invocation
+   is built with *)
+let flow_options no_lint reduce_order reduce_tol =
+  match
+    Snoise.Reduced_model.config_of_settings
+      ?order:(Option.map float_of_int reduce_order)
+      ?tol:reduce_tol ()
+  with
+  | Error msg ->
+    Format.eprintf "snoise: %s@." msg;
+    exit 1
+  | Ok reduce ->
+    { Snoise.Flow.default_options with
+      Snoise.Flow.lint = not no_lint;
+      reduce }
 
 let verbose_flag =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Log extraction progress.")
@@ -90,7 +86,7 @@ let reduce_order_flag =
         ~doc:
           "Swap every merged model's passive pool (substrate resistors, \
            well capacitors, interconnect RC) for its passivity-preserving \
-           PRIMA reduction matching $(docv) block moments before \
+           PRIMA reduction matching $(docv) >= 1 block moments before \
            simulating.  Mutually exclusive with $(b,--reduce-tol).")
 
 let reduce_tol_flag =
@@ -101,15 +97,18 @@ let reduce_tol_flag =
         ~doc:
           "Like $(b,--reduce-order), but grow the reduction order \
            automatically until the estimated port-transfer error over the \
-           AC band drops below the relative tolerance $(docv).")
+           AC band drops below the relative tolerance $(docv), in (0, 1).")
 
-(* every command takes -v, --jobs, --no-lint, the cache knobs and the
-   model-order-reduction knobs *)
-let verbose =
+(* every command takes -v, --jobs and the cache knobs *)
+let process =
   Term.(
-    const (fun v j nl cd nc ro rt -> (v, j, nl, cd, nc, ro, rt))
-    $ verbose_flag $ jobs_flag $ no_lint_flag $ cache_dir_flag
-    $ no_cache_flag $ reduce_order_flag $ reduce_tol_flag)
+    const setup_process $ verbose_flag $ jobs_flag $ cache_dir_flag
+    $ no_cache_flag)
+
+(* commands that build a flow or gate a deck also take --no-lint and
+   the model-order-reduction knobs *)
+let flow =
+  Term.(const flow_options $ no_lint_flag $ reduce_order_flag $ reduce_tol_flag)
 
 let fmt = Format.std_formatter
 
@@ -125,66 +124,58 @@ let or_diag_exit f =
     Format.eprintf "snoise: %a@." Sn_engine.Diag.pp d;
     exit 2
 
-let run_fig3 verbose =
-  setup_logs verbose;
+let run_fig3 () options =
   or_diag_exit (fun () ->
-      Snoise.Report.fig3 fmt (Snoise.Experiments.fig3 ());
-      Snoise.Report.sec3 fmt (Snoise.Experiments.sec3_numbers ());
+      Snoise.Report.fig3 fmt (Snoise.Experiments.fig3 ~options ());
+      Snoise.Report.sec3 fmt (Snoise.Experiments.sec3_numbers ~options ());
       finish ())
 
-let run_fig7 verbose f_noise =
-  setup_logs verbose;
+let run_fig7 () options f_noise =
   or_diag_exit (fun () ->
-      Snoise.Report.fig7 fmt (Snoise.Experiments.fig7 ~f_noise ());
+      Snoise.Report.fig7 fmt (Snoise.Experiments.fig7 ~options ~f_noise ());
       finish ())
 
-let run_fig8 verbose =
-  setup_logs verbose;
+let run_fig8 () options =
   or_diag_exit (fun () ->
-      Snoise.Report.fig8 fmt (Snoise.Experiments.fig8 ());
+      Snoise.Report.fig8 fmt (Snoise.Experiments.fig8 ~options ());
       finish ())
 
-let run_fig9 verbose =
-  setup_logs verbose;
+let run_fig9 () options =
   or_diag_exit (fun () ->
-      Snoise.Report.fig9 fmt (Snoise.Experiments.fig9 ());
+      Snoise.Report.fig9 fmt (Snoise.Experiments.fig9 ~options ());
       finish ())
 
-let run_fig10 verbose =
-  setup_logs verbose;
+let run_fig10 () options =
   or_diag_exit (fun () ->
-      Snoise.Report.fig10 fmt (Snoise.Experiments.fig10 ());
+      Snoise.Report.fig10 fmt (Snoise.Experiments.fig10 ~options ());
       finish ())
 
-let run_card verbose =
-  setup_logs verbose;
+let run_card () options =
   or_diag_exit (fun () ->
-      Snoise.Report.vco_card fmt (Snoise.Experiments.vco_card ());
+      Snoise.Report.vco_card fmt (Snoise.Experiments.vco_card ~options ());
       finish ())
 
-let run_runtime verbose =
-  setup_logs verbose;
+let run_runtime () options =
   or_diag_exit (fun () ->
-      Snoise.Report.runtime fmt (Snoise.Experiments.runtime ());
+      Snoise.Report.runtime fmt (Snoise.Experiments.runtime ~options ());
       finish ())
 
-let run_aggressor verbose =
-  setup_logs verbose;
+let run_aggressor () options =
   or_diag_exit (fun () ->
-      Snoise.Report.aggressor fmt (Snoise.Experiments.aggressor_comb ());
+      Snoise.Report.aggressor fmt
+        (Snoise.Experiments.aggressor_comb ~options ());
       finish ())
 
-let run_all verbose =
-  run_fig3 verbose;
-  run_fig7 verbose 10.0e6;
-  run_fig8 verbose;
-  run_fig9 verbose;
-  run_fig10 verbose;
-  run_card verbose;
-  run_runtime verbose
+let run_all () options =
+  run_fig3 () options;
+  run_fig7 () options 10.0e6;
+  run_fig8 () options;
+  run_fig9 () options;
+  run_fig10 () options;
+  run_card () options;
+  run_runtime () options
 
-let run_extract verbose path =
-  setup_logs verbose;
+let run_extract () path =
   let layout = Sn_layout.Layout_io.load path in
   let macro =
     Sn_substrate.Extractor.extract_from_layout ~tech:Sn_tech.Tech.imec018
@@ -199,24 +190,24 @@ let run_extract verbose path =
     (Sn_substrate.Macromodel.to_resistors macro);
   finish ()
 
-let run_netlist verbose vtune =
-  setup_logs verbose;
+let run_netlist () options vtune =
   or_diag_exit (fun () ->
-      let flow = Snoise.Flow.build_vco Sn_testchip.Vco_chip.default ~vtune in
+      let flow =
+        Snoise.Flow.build_vco ~options Sn_testchip.Vco_chip.default ~vtune
+      in
       print_string (Sn_circuit.Spice.to_string (Snoise.Flow.vco_merged flow)))
 
-let run_op verbose vtune file =
-  setup_logs verbose;
+let run_op () options vtune file =
   or_diag_exit (fun () ->
       let netlist =
         match file with
         | Some path ->
           let nl = Sn_circuit.Spice.load path in
-          Snoise.Flow.lint_gate nl;
+          Snoise.Flow.lint_gate ~enabled:options.Snoise.Flow.lint nl;
           nl
         | None ->
           let flow =
-            Snoise.Flow.build_vco Sn_testchip.Vco_chip.default ~vtune
+            Snoise.Flow.build_vco ~options Sn_testchip.Vco_chip.default ~vtune
           in
           Snoise.Flow.vco_merged flow
       in
@@ -232,8 +223,7 @@ let parse_ignore s =
   | Some i ->
     (String.sub s 0 i, Some (String.sub s (i + 1) (String.length s - i - 1)))
 
-let run_lint verbose json strict ignores disables file =
-  setup_logs verbose;
+let run_lint () options json strict ignores disables file =
   or_diag_exit (fun () ->
       let deck, netlist =
         match file with
@@ -241,7 +231,7 @@ let run_lint verbose json strict ignores disables file =
         | None ->
           ( "merged VCO impact model",
             Snoise.Flow.vco_merged
-              (Snoise.Flow.build_vco Sn_testchip.Vco_chip.default
+              (Snoise.Flow.build_vco ~options Sn_testchip.Vco_chip.default
                  ~vtune:0.45) )
       in
       let config =
@@ -275,8 +265,7 @@ let verify_header mode =
     ("mode", J.Str mode);
   ]
 
-let run_verify verbose json ignores disables cache file =
-  setup_logs verbose;
+let run_verify () options json ignores disables cache file =
   or_diag_exit (fun () ->
       match (cache, file) with
       | Some _, Some _ ->
@@ -314,7 +303,7 @@ let run_verify verbose json ignores disables cache file =
           | None ->
             ( "merged VCO impact model",
               Snoise.Flow.vco_merged
-                (Snoise.Flow.build_vco Sn_testchip.Vco_chip.default
+                (Snoise.Flow.build_vco ~options Sn_testchip.Vco_chip.default
                    ~vtune:0.45) )
         in
         let config =
@@ -324,7 +313,10 @@ let run_verify verbose json ignores disables cache file =
             ignores = List.map parse_ignore ignores;
           }
         in
-        let p = Snoise.Flow.preflight ~config netlist in
+        let p =
+          Snoise.Flow.preflight ~config ?reduce:options.Snoise.Flow.reduce
+            netlist
+        in
         if json then
           print_endline
             (J.to_string
@@ -335,8 +327,7 @@ let run_verify verbose json ignores disables cache file =
         finish ();
         if Snoise.Flow.preflight_failing p then exit 1)
 
-let run_drc verbose file =
-  setup_logs verbose;
+let run_drc () file =
   let layout =
     match file with
     | Some path -> Sn_layout.Layout_io.load path
@@ -348,8 +339,7 @@ let run_drc verbose file =
   finish ();
   if vs <> [] then exit 1
 
-let run_isolation verbose path port1 port2 =
-  setup_logs verbose;
+let run_isolation () path port1 port2 =
   let layout = Sn_layout.Layout_io.load path in
   let macro =
     Sn_substrate.Extractor.extract_from_layout ~tech:Sn_tech.Tech.imec018
@@ -428,9 +418,8 @@ let supervise_loop run_worker =
   in
   loop 0.25
 
-let run_serve verbose socket tcp auth_token supervise max_queue quota
+let run_serve () socket tcp auth_token supervise max_queue quota
     max_decks tran_max_points max_flows mem_watermark_mb warmup_journal =
-  setup_logs verbose;
   let tcp =
     Option.map
       (fun s ->
@@ -473,8 +462,7 @@ let run_serve verbose socket tcp auth_token supervise max_queue quota
 
 (* one-shot JSONL client: send request lines (positional or stdin),
    print each reply line, exit 1 when any reply is an error *)
-let run_request verbose socket wait lines =
-  setup_logs verbose;
+let run_request () socket wait lines =
   let connect () =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     Unix.connect fd (Unix.ADDR_UNIX socket);
@@ -569,30 +557,30 @@ let cmd name doc term =
 let cmds =
   [
     cmd "fig3" "NMOS measurement structure transfer (paper Figure 3 / section 3)"
-      Term.(const run_fig3 $ verbose);
+      Term.(const run_fig3 $ process $ flow);
     cmd "fig7" "VCO output spectrum with a substrate tone (paper Figure 7)"
-      Term.(const run_fig7 $ verbose $ f_noise_arg);
+      Term.(const run_fig7 $ process $ flow $ f_noise_arg);
     cmd "fig8" "spur power vs noise frequency and Vtune (paper Figure 8)"
-      Term.(const run_fig8 $ verbose);
+      Term.(const run_fig8 $ process $ flow);
     cmd "fig9" "per-device contribution analysis (paper Figure 9)"
-      Term.(const run_fig9 $ verbose);
+      Term.(const run_fig9 $ process $ flow);
     cmd "fig10" "ground interconnect sizing experiment (paper Figure 10)"
-      Term.(const run_fig10 $ verbose);
+      Term.(const run_fig10 $ process $ flow);
     cmd "card" "VCO design card check (paper section 4)"
-      Term.(const run_card $ verbose);
+      Term.(const run_card $ process $ flow);
     cmd "runtime" "extraction / simulation wall-clock (paper section 6 note)"
-      Term.(const run_runtime $ verbose);
+      Term.(const run_runtime $ process $ flow);
     cmd "aggressor"
       "digital switching-noise spur comb (the paper's sign-off outlook)"
-      Term.(const run_aggressor $ verbose);
-    cmd "all" "run every experiment" Term.(const run_all $ verbose);
+      Term.(const run_aggressor $ process $ flow);
+    cmd "all" "run every experiment" Term.(const run_all $ process $ flow);
     cmd "extract" "extract the substrate macromodel of a layout file"
-      Term.(const run_extract $ verbose $ layout_arg);
+      Term.(const run_extract $ process $ layout_arg);
     cmd "netlist" "print the merged VCO impact model as a SPICE deck"
-      Term.(const run_netlist $ verbose $ vtune_arg);
+      Term.(const run_netlist $ process $ flow $ vtune_arg);
     cmd "drc" "design-rule check a layout file (default: the VCO layout)"
       Term.(
-        const run_drc $ verbose
+        const run_drc $ process
         $ Arg.(
             value
             & pos 0 (some file) None
@@ -600,7 +588,7 @@ let cmds =
     cmd "isolation"
       "S21 substrate isolation between two ports of a layout file"
       Term.(
-        const run_isolation $ verbose $ layout_arg
+        const run_isolation $ process $ layout_arg
         $ Arg.(
             required
             & pos 1 (some string) None
@@ -611,7 +599,7 @@ let cmds =
             & info [] ~docv:"PORT2" ~doc:"Victim port name."));
     cmd "op" "DC operating point of a SPICE deck (default: the merged VCO)"
       Term.(
-        const run_op $ verbose $ vtune_arg
+        const run_op $ process $ flow $ vtune_arg
         $ Arg.(
             value
             & pos 0 (some file) None
@@ -622,7 +610,7 @@ let cmds =
     cmd "serve"
       "persistent simulation service over a Unix-domain socket (JSONL)"
       Term.(
-        const run_serve $ verbose $ socket_arg
+        const run_serve $ process $ socket_arg
         $ Arg.(
             value
             & opt (some string) None
@@ -717,7 +705,7 @@ let cmds =
     cmd "request"
       "send JSONL request lines to a running snoise serve and print replies"
       Term.(
-        const run_request $ verbose $ socket_arg
+        const run_request $ process $ socket_arg
         $ Arg.(
             value
             & opt float 0.0
@@ -737,7 +725,7 @@ let cmds =
     cmd "lint"
       "structural ERC of a SPICE deck (default: the merged VCO model)"
       Term.(
-        const run_lint $ verbose
+        const run_lint $ process $ flow
         $ Arg.(
             value & flag
             & info [ "json" ]
@@ -768,7 +756,7 @@ let cmds =
       "numerical pre-flight of a deck, or certificate verification of a \
        tile-cache directory"
       Term.(
-        const run_verify $ verbose
+        const run_verify $ process $ flow
         $ Arg.(
             value & flag
             & info [ "json" ]

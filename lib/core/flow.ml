@@ -22,9 +22,6 @@ type options = {
   tech : Sn_tech.Tech.t;
   lint : bool;
   reduce : Reduced_model.config option;
-      (** swap the merged deck's passive pool for its PRIMA-reduced
-          realization before compiling; [None] follows the process-wide
-          default ({!set_default_reduction}) *)
 }
 
 let default_options =
@@ -38,25 +35,15 @@ let default_options =
     reduce = None;
   }
 
-(* process-wide reduction default, the --reduce-order / --reduce-tol
-   CLI knob (mirrors the disable_lint pattern: figure flows construct
-   their own options and pick the default up from here) *)
-let default_reduction : Reduced_model.config option ref = ref None
-
-let set_default_reduction c = default_reduction := c
-
-let reduction_of options =
-  match options.reduce with Some _ as c -> c | None -> !default_reduction
-
 let maybe_reduce options ~keep nl =
-  match reduction_of options with
+  match options.reduce with
   | None -> nl
   | Some config -> Reduced_model.reduce_deck ~config ~keep nl
 
 (* substrate tile-cache namespace tag: reduced and exact runs must
    never share cached artifacts *)
 let reduction_digest options =
-  Option.map Reduced_model.config_digest (reduction_of options)
+  Option.map Reduced_model.config_digest options.reduce
 
 (* ------------------------------------------------------------------ *)
 (* lint gate: merged models pass the Sn_analysis rule suite before the
@@ -67,16 +54,12 @@ let reduction_digest options =
 
 module A = Sn_analysis
 
-let lint_disabled = ref false
-
-let disable_lint () = lint_disabled := true
-
 let warned : (string, unit) Hashtbl.t = Hashtbl.create 16
 
 let warned_lock = Mutex.create ()
 
 let lint_gate ?(enabled = true) nl =
-  if enabled && not !lint_disabled then begin
+  if enabled then begin
     let report = A.Analyzer.analyze nl in
     List.iter
       (fun (d : A.Rule.diagnostic) ->
@@ -130,11 +113,11 @@ type preflight = {
   pf_reduction : reduction_verdict;
 }
 
-let preflight ?config nl =
+let preflight ?config ?reduce nl =
   let report = A.Analyzer.analyze ?config nl in
   let ctx = A.Rule.context nl in
   let reduction =
-    match !default_reduction with
+    match reduce with
     | None -> Not_reduced
     | Some rc -> (
       match snd (Reduced_model.reduce_deck_certified ~config:rc nl) with

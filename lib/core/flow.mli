@@ -40,12 +40,10 @@ type options = {
       (** swap each merged model's passive pool (substrate resistors,
           well capacitors, interconnect RC) for its PRIMA rank-k
           realization ({!Reduced_model.reduce_deck}) before
-          simulating.  [None] (the default) follows the process-wide
-          default set by {!set_default_reduction} — so figure flows
-          built with {!default_options} honour the CLI's
-          [--reduce-order] / [--reduce-tol].  Observation nodes the
-          flow needs (injection node, back-gate probes, spur entry
-          nodes) are kept explicit automatically. *)
+          simulating.  [None] (the default) simulates the exact
+          model.  Observation nodes the flow needs (injection node,
+          back-gate probes, spur entry nodes) are kept explicit
+          automatically. *)
 }
 
 val default_options : options
@@ -53,27 +51,14 @@ val default_options : options
     nominal widths, the 0.18 um high-ohmic imec card, lint gate on,
     no reduction. *)
 
-val set_default_reduction : Reduced_model.config option -> unit
-(** Process-wide reduction default — the CLI's [--reduce-order k] /
-    [--reduce-tol e] knob.  Applies wherever an options record leaves
-    [reduce] as [None]. *)
-
-val reduction_of : options -> Reduced_model.config option
-(** The reduction configuration in effect for [options] (its own
-    [reduce] field, else the process-wide default). *)
-
 val lint_gate : ?enabled:bool -> Sn_circuit.Netlist.t -> unit
 (** [lint_gate nl] runs {!Sn_analysis.Analyzer.analyze} (with deck
     pragmas honoured) and refuses a netlist with error-severity
     diagnostics by raising {!Sn_engine.Diag.Error} with a
     {!Sn_engine.Diag.Bad_input} listing every error; warnings are
-    logged once per distinct message.  [?enabled:false] (or
-    {!disable_lint}) turns the gate into a no-op.  The flow calls this
-    on every merged model it is about to simulate. *)
-
-val disable_lint : unit -> unit
-(** Process-wide lint kill switch — the CLI's [--no-lint].  Overrides
-    the per-flow [lint] option. *)
+    logged once per distinct message.  [?enabled:false] turns the gate
+    into a no-op.  The flow calls this on every merged model it is
+    about to simulate, enabled by the flow's [lint] option. *)
 
 (* ------------------------------------------------------------------ *)
 (** {1 Numerical pre-flight}
@@ -81,8 +66,8 @@ val disable_lint : unit -> unit
     Everything [snoise verify] reports about a deck: the full analyzer
     report (structural and numeric rules), the raw analyses behind the
     numeric rules ({!Sn_analysis.Numeric}), and — when a reduction is
-    configured process-wide — whether the deck's reduced pencil earns
-    a passivity certificate.  Purely static: no DC solve, no sweep, no
+    given — whether the deck's reduced pencil earns a passivity
+    certificate.  Purely static: no DC solve, no sweep, no
     extraction. *)
 
 (** Did the configured model-order reduction certify? *)
@@ -111,10 +96,13 @@ type preflight = {
 }
 
 val preflight :
-  ?config:Sn_analysis.Analyzer.config -> Sn_circuit.Netlist.t -> preflight
+  ?config:Sn_analysis.Analyzer.config -> ?reduce:Reduced_model.config ->
+  Sn_circuit.Netlist.t -> preflight
 (** Run the pre-flight over a deck.  [?config] tunes the analyzer pass
     exactly as in {!Sn_analysis.Analyzer.analyze} (deck pragmas are
-    honoured either way). *)
+    honoured either way).  [?reduce] dry-runs that reduction of the
+    deck and judges its pencil; without it the verdict is
+    [Not_reduced]. *)
 
 val preflight_failing : preflight -> bool
 (** The verify gate: [true] when any diagnostic fired (warnings

@@ -31,6 +31,38 @@ let config_digest c =
   Printf.sprintf "prima;order=%s;s0=%.17g;band=%.17g:%.17g" order c.s0_hz
     (fst c.band) (snd c.band)
 
+let config_of_settings ?order ?tol ?s0 () =
+  let with_order spec =
+    Ok
+      (Some
+         { default_config with
+           order = spec;
+           s0_hz = Option.value s0 ~default:default_config.s0_hz })
+  in
+  match (order, tol, s0) with
+  | Some k, _, _ when not (Float.is_integer k && k >= 1.0 && k <= 1024.0) ->
+    Error
+      (Printf.sprintf
+         "override \"reduce_order\": expected an integer order >= 1, got %g" k)
+  | _, Some e, _ when not (e > 0.0 && e < 1.0) ->
+    Error
+      (Printf.sprintf
+         "override \"reduce_tol\": expected a relative tolerance in (0, 1), \
+          got %g"
+         e)
+  | _, _, Some f when not (f > 0.0) ->
+    Error
+      (Printf.sprintf
+         "override \"reduce_s0\": expected an expansion point in Hz > 0, got %g"
+         f)
+  | None, None, None -> Ok None
+  | None, None, Some _ ->
+    Error "override \"reduce_s0\" needs \"reduce_order\" or \"reduce_tol\""
+  | Some _, Some _, _ ->
+    Error "overrides \"reduce_order\" and \"reduce_tol\" conflict"
+  | Some k, None, _ -> with_order (Fixed (int_of_float k))
+  | None, Some e, _ -> with_order (Auto e)
+
 type stats = {
   ports : int;
   internal : int;

@@ -34,6 +34,17 @@ val config_digest : config -> string
     string cache digests fold in so reduced and exact artifacts never
     collide ([Plan_cache] override keys, [Sn_substrate.Cache]). *)
 
+val config_of_settings :
+  ?order:float -> ?tol:float -> ?s0:float -> unit ->
+  (config option, string) result
+(** The one validator for user-supplied reduction settings (the CLI's
+    [--reduce-order] / [--reduce-tol], the server's [reduce_order] /
+    [reduce_tol] / [reduce_s0] overrides).  [order] must be an integer
+    in \[1, 1024\], [tol] lie in (0, 1) and [s0] (Hz) be positive;
+    [order] and [tol] are mutually exclusive and [s0] needs one of
+    them.  [Ok None] when nothing is set; otherwise the settings over
+    {!default_config}.  [Error] carries a one-line message. *)
+
 type stats = {
   ports : int;
   internal : int;  (** internal unknowns before reduction *)

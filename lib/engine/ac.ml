@@ -101,7 +101,6 @@ let assemble_plan (plan : Stamp_plan.t) dcx ~omega =
   (a, rhs)
 
 let system_of_plan plan dc ~omega = assemble_plan plan (Dc.unknowns dc) ~omega
-let system mna dc ~omega = system_of_plan (Stamp_plan.build mna) dc ~omega
 
 (* Production solve path: compiled G + jwB plan, pattern-reusing sparse
    factorization, per-domain workspace. *)

@@ -40,21 +40,13 @@ val magnitude_db : solution -> string -> float
 (** [20 log10 |v(node)|].  Raises [Invalid_argument] when the
     magnitude is zero. *)
 
-val system :
-  Mna.t -> Dc.solution -> omega:float ->
-  Complex.t array array * Complex.t array
-(** [system mna dc ~omega] is the assembled complex MNA matrix and
-    stimulus vector at angular frequency [omega] — the dense reference
-    formulation, kept for validation of the sparse engine and for
-    callers that want the explicit matrix.  Compiles a fresh stamp plan
-    per call; for repeated assemblies build the plan once and use
-    {!system_of_plan}. *)
-
 val system_of_plan :
   Stamp_plan.t -> Dc.solution -> omega:float ->
   Complex.t array array * Complex.t array
-(** Same as {!system} over a pre-compiled stamp plan: per-frequency
-    cost is numeric stamping only. *)
+(** [system_of_plan plan dc ~omega] is the assembled complex MNA
+    matrix and stimulus vector at angular frequency [omega] — the dense
+    reference formulation, kept for validation of the sparse engine.
+    Per-frequency cost is numeric stamping only. *)
 
 type sweep_point = { freq : float; values : (string * Complex.t) list }
 

@@ -305,72 +305,17 @@ let reduction_of_overrides overrides =
     List.filter
       (fun (k, v) ->
         match String.lowercase_ascii k with
-        | "reduce_order" ->
-          if Float.is_integer v && v >= 1.0 && v <= 1024.0 then
-            order := Some (int_of_float v)
-          else
-            raise
-              (Bad
-                 (Printf.sprintf
-                    "override \"reduce_order\": expected an integer order >= \
-                     1, got %g"
-                    v));
-          false
-        | "reduce_tol" ->
-          if v > 0.0 && v < 1.0 then tol := Some v
-          else
-            raise
-              (Bad
-                 (Printf.sprintf
-                    "override \"reduce_tol\": expected a relative tolerance \
-                     in (0, 1), got %g"
-                    v));
-          false
-        | "reduce_s0" ->
-          if v > 0.0 then s0 := Some v
-          else
-            raise
-              (Bad
-                 (Printf.sprintf
-                    "override \"reduce_s0\": expected an expansion point in \
-                     Hz > 0, got %g"
-                    v));
-          false
+        | "reduce_order" -> order := Some v; false
+        | "reduce_tol" -> tol := Some v; false
+        | "reduce_s0" -> s0 := Some v; false
         | _ -> true)
       overrides
   in
-  let config =
-    match (!order, !tol) with
-    | None, None ->
-      if !s0 <> None then
-        raise
-          (Bad
-             "override \"reduce_s0\" needs \"reduce_order\" or \"reduce_tol\"")
-      else None
-    | Some _, Some _ ->
-      raise (Bad "overrides \"reduce_order\" and \"reduce_tol\" conflict")
-    | Some k, None ->
-      Some
-        {
-          Snoise.Reduced_model.default_config with
-          Snoise.Reduced_model.order = Snoise.Reduced_model.Fixed k;
-          s0_hz =
-            Option.value !s0
-              ~default:Snoise.Reduced_model.default_config
-                         .Snoise.Reduced_model.s0_hz;
-        }
-    | None, Some e ->
-      Some
-        {
-          Snoise.Reduced_model.default_config with
-          Snoise.Reduced_model.order = Snoise.Reduced_model.Auto e;
-          s0_hz =
-            Option.value !s0
-              ~default:Snoise.Reduced_model.default_config
-                         .Snoise.Reduced_model.s0_hz;
-        }
-  in
-  (elements, config)
+  match
+    Snoise.Reduced_model.config_of_settings ?order:!order ?tol:!tol ?s0:!s0 ()
+  with
+  | Ok config -> (elements, config)
+  | Error msg -> raise (Bad msg)
 
 let apply_overrides nl overrides =
   if overrides = [] then nl
@@ -415,15 +360,21 @@ let apply_overrides nl overrides =
       ~locs:(C.Netlist.element_locs nl) elements
   end
 
-(* parse (cached), apply overrides; the compiled result is lint-gated
-   with a wire-structured refusal and cached under the content key *)
-let netlist_of t ~src ~text ~overrides =
+(* parse (cached), apply the element overrides; the reduce_* overrides
+   come back as the request's reduction configuration *)
+let deck_of t ~src ~text ~overrides =
   let nl =
     Plan_cache.find_netlist t.cache ~text ~parse:(fun s ->
         C.Spice.of_string ~file:(source_name src) s)
   in
   let element_overrides, reduce = reduction_of_overrides overrides in
-  let nl = apply_overrides nl element_overrides in
+  (apply_overrides nl element_overrides, reduce)
+
+(* the deck as the request simulates it; the compiled result is
+   lint-gated with a wire-structured refusal and cached under the
+   content key *)
+let netlist_of t ~src ~text ~overrides =
+  let nl, reduce = deck_of t ~src ~text ~overrides in
   match reduce with
   | None -> (nl, None)
   | Some config -> Snoise.Reduced_model.reduce_deck_certified ~config nl
@@ -727,8 +678,11 @@ let run_verify t (req : P.request) =
       P.Not_applicable )
   | None, Some src ->
     let text = source_text src in
-    let nl, _ = netlist_of t ~src ~text ~overrides:req.P.overrides in
-    ( Flow.preflight_to_json ~header:(header "deck") (Flow.preflight nl),
+    (* the unreduced deck, dry-running the request's own reduction —
+       the same verdict as `snoise verify --reduce-order K DECK` *)
+    let nl, reduce = deck_of t ~src ~text ~overrides:req.P.overrides in
+    ( Flow.preflight_to_json ~header:(header "deck")
+        (Flow.preflight ?reduce nl),
       P.Not_applicable,
       P.Not_applicable )
   | None, None ->

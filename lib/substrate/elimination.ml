@@ -68,37 +68,17 @@ let eliminate_node net k =
   net.alive.(k) <- false;
   List.map fst neighbours
 
-(* Reference ordering: full scan for the minimum-degree internal node
-   before every elimination — O(n) per eliminated node.  Kept as the
-   oracle the heap path is tested against. *)
-let eliminate_internal_scan net =
-  let n = Array.length net.alive in
-  let remaining = ref 0 in
-  for i = 0 to n - 1 do
-    if net.alive.(i) && not (net.is_port.(i)) then incr remaining
-  done;
-  while !remaining > 0 do
-    (* greedy minimum degree *)
-    let best = ref (-1) and best_deg = ref max_int in
-    for i = 0 to n - 1 do
-      if net.alive.(i) && not (net.is_port.(i)) then begin
-        let deg = Hashtbl.length net.adj.(i) in
-        if deg < !best_deg then begin
-          best := i;
-          best_deg := deg
-        end
-      end
-    done;
-    ignore (eliminate_node net !best);
-    decr remaining
-  done
+let internal_degree net i =
+  if net.alive.(i) && not net.is_port.(i) then Some (Hashtbl.length net.adj.(i))
+  else None
 
 (* Lazy-deletion binary heap keyed on [deg * n + node]: pops come out
    ordered by degree with the node index breaking ties — exactly the
-   order the scan produces — but finding the next victim is O(log n).
-   A node is re-pushed whenever its degree changes; entries whose key
-   no longer matches the live degree are stale and skipped on pop. *)
-let eliminate_internal_heap net =
+   order a full rescan per pick would produce — but finding the next
+   victim is O(log n).  A node is re-pushed whenever its degree
+   changes; entries whose key no longer matches the live degree are
+   stale and skipped on pop. *)
+let eliminate_internal net =
   let n = Array.length net.alive in
   let heap = N.Heap.create ~capacity:(max n 1) () in
   let push i =
@@ -125,11 +105,6 @@ let eliminate_internal_heap net =
         decr remaining
       end
   done
-
-let eliminate_internal ?(strategy = `Heap) net =
-  match strategy with
-  | `Heap -> eliminate_internal_heap net
-  | `Scan -> eliminate_internal_scan net
 
 let port_conductance net =
   let np = Array.length net.ports in

@@ -20,14 +20,22 @@ val of_conductances :
     Raises [Invalid_argument] on out-of-range indices or non-positive
     conductances. *)
 
-val eliminate_internal : ?strategy:[ `Heap | `Scan ] -> network -> unit
+val eliminate_internal : network -> unit
 (** Eliminate every non-port node, lowest-degree first (a greedy
     minimum-degree ordering refreshed on the fly; ties go to the
-    lowest node index).  [`Heap] (default) tracks candidates in a
-    lazy-deletion binary heap, O(log n) per pick; [`Scan] re-scans the
-    whole network per pick, O(n) — kept as the reference oracle.  Both
-    produce the same elimination order, hence identical reduced
-    matrices. *)
+    lowest node index).  Candidates are tracked in a lazy-deletion
+    binary heap, O(log n) per pick. *)
+
+val internal_degree : network -> int -> int option
+(** [internal_degree net i] is the current neighbour count of node
+    [i] while it is a live internal node; [None] for ports and
+    eliminated nodes. *)
+
+val eliminate_node : network -> int -> int list
+(** Star-mesh-eliminate one live internal node; returns its former
+    neighbours.  With {!internal_degree} this is enough to replay any
+    elimination order — the test suite's full-rescan reference for
+    {!eliminate_internal} is built this way. *)
 
 val port_conductance : network -> Sn_numerics.Mat.t
 (** The reduced port Laplacian, indexed by the order of [ports].

@@ -7,7 +7,7 @@ let log_src = Logs.Src.create "sn.substrate" ~doc:"substrate extraction"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-type solver = Mg_cg | Jacobi_cg | Direct
+type solver = Mg_cg | Direct
 
 type stats = {
   grid_cells : int;
@@ -86,7 +86,7 @@ let bb_push b i j g =
 
 type solve_state = {
   aii : N.Sparse.t;
-  mg : N.Mg.t option;
+  mg : N.Mg.t;
   brow_idx : int array array; (* sparse A_ri rows over interior, per retained *)
   brow_val : float array array;
   abb : float array; (* r x r retained block, row-major *)
@@ -133,9 +133,7 @@ let key_material ~solver ~form ~tol ~dims:(w, h, d) ~n_i ~labels
   Buffer.add_string buf form;
   (match solver with
    | Direct -> Buffer.add_string buf "/direct"
-   | Mg_cg | Jacobi_cg ->
-     (* both CG flavours converge to the same tolerance: identical
-        keys let a Jacobi run warm an MG run and vice versa *)
+   | Mg_cg ->
      Buffer.add_string buf "/cg:";
      Buffer.add_int64_le buf (Int64.bits_of_float tol));
   List.iter
@@ -404,7 +402,7 @@ let extract ?(config = Grid.default_config) ?(grounded_backplane = false)
          Elimination.eliminate_internal net;
          let s = Elimination.port_conductance net in
          work.s <- Array.init (r * r) (fun k -> N.Mat.get s (k / r) (k mod r))
-       | Mg_cg | Jacobi_cg ->
+       | Mg_cg ->
          let builder = N.Sparse.builder (max n_i 1) (max n_i 1) in
          let brow = Array.init r (fun _ -> Hashtbl.create 16) in
          let abb = Array.make (r * r) 0.0 in
@@ -437,13 +435,8 @@ let extract ?(config = Grid.default_config) ?(grounded_backplane = false)
          else begin
            let aii = N.Sparse.finalize builder in
            let mg =
-             match solver with
-             | Mg_cg -> (
-               try
-                 Some
-                   (N.Mg.build ~dims:(Tiling.interior_dims tl ~nz) aii)
-               with N.Cg.Zero_diagonal li -> zero_diag_error tl li)
-             | _ -> None
+             try N.Mg.build ~dims:(Tiling.interior_dims tl ~nz) aii
+             with N.Cg.Zero_diagonal li -> zero_diag_error tl li
            in
            let brow_idx = Array.make r [||] in
            let brow_val = Array.make r [||] in
@@ -485,9 +478,8 @@ let extract ?(config = Grid.default_config) ?(grounded_backplane = false)
         else begin
           let rhs = Array.make w.n_i 0.0 in
           Array.iteri (fun e i -> rhs.(i) <- val_q.(e)) idx_q;
-          let precond = Option.map N.Mg.apply st.mg in
           let res =
-            try N.Cg.solve ~tol ?precond st.aii rhs
+            try N.Cg.solve ~tol ~precond:(N.Mg.apply st.mg) st.aii rhs
             with N.Cg.Zero_diagonal li -> zero_diag_error tl li
           in
           ignore
@@ -542,8 +534,8 @@ let extract ?(config = Grid.default_config) ?(grounded_backplane = false)
     Array.fold_left
       (fun acc w ->
         match w.solve with
-        | Some { mg = Some mg; _ } -> max acc (N.Mg.levels mg)
-        | _ -> acc)
+        | Some { mg; _ } -> max acc (N.Mg.levels mg)
+        | None -> acc)
       0 works
   in
   let t_reduce = Unix.gettimeofday () in

@@ -7,7 +7,7 @@
 
     {v S = G_pp - G_pi G_ii^-1 G_ip v}
 
-    Three solvers compute the elimination ({!solver}); the default
+    Two solvers compute the elimination ({!solver}); the default
     multigrid-preconditioned CG keeps the cost per Schur column far
     below a direct factorization as the grid grows (the layered
     profile's z-anisotropy still costs iterations at scale — the
@@ -24,9 +24,6 @@ type solver =
       (** conjugate gradients preconditioned by a geometric multigrid
           V-cycle ({!Sn_numerics.Mg}) — the default, and the only
           choice that scales to million-cell grids *)
-  | Jacobi_cg
-      (** diagonally preconditioned CG — the pre-multigrid baseline,
-          kept for comparison benches *)
   | Direct
       (** exact star-mesh elimination per tile
           ({!Elimination}) — the small-grid oracle *)

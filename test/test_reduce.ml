@@ -209,6 +209,25 @@ let test_config_digest_distinct () =
     (d (R.Auto 1e-4) <> d (R.Auto 1e-6));
   Alcotest.(check bool) "digest stable" true (d (R.Fixed 2) = d (R.Fixed 2))
 
+let test_config_of_settings () =
+  let refused name r =
+    Alcotest.(check bool) name true (Result.is_error r)
+  in
+  refused "order 0" (R.config_of_settings ~order:0.0 ());
+  refused "order 0.5" (R.config_of_settings ~order:0.5 ());
+  refused "tol 0" (R.config_of_settings ~tol:0.0 ());
+  refused "tol 1" (R.config_of_settings ~tol:1.0 ());
+  refused "tol 2" (R.config_of_settings ~tol:2.0 ());
+  refused "s0 alone" (R.config_of_settings ~s0:1e8 ());
+  refused "order and tol" (R.config_of_settings ~order:4.0 ~tol:1e-6 ());
+  Alcotest.(check bool) "nothing set" true (R.config_of_settings () = Ok None);
+  Alcotest.(check bool) "order 3 at s0 1 GHz" true
+    (R.config_of_settings ~order:3.0 ~s0:1e9 ()
+    = Ok (Some { R.default_config with order = R.Fixed 3; s0_hz = 1e9 }));
+  Alcotest.(check bool) "tol 1e-6" true
+    (R.config_of_settings ~tol:1e-6 ()
+    = Ok (Some { R.default_config with order = R.Auto 1e-6 }))
+
 (* --- QCheck harness (ISSUE 9 satellite) --------------------------- *)
 
 (* Random connected RC networks: nodes 0..n-1 (0 is ground), a spanning
@@ -409,6 +428,8 @@ let suites =
           test_reduce_deck_noop;
         Alcotest.test_case "config digests distinct" `Quick
           test_config_digest_distinct;
+        Alcotest.test_case "settings validated" `Quick
+          test_config_of_settings;
       ] );
     ( "reduce.flow",
       [

@@ -530,6 +530,25 @@ let test_verify_verb () =
   Alcotest.(check string) "missing dir refused" "bad-request"
     (error_code missing)
 
+(* verify's reduction verdict follows the request's own reduce_*
+   overrides: the same verdict as `snoise verify --reduce-order 2` *)
+let test_verify_reduction_verdict () =
+  let svc = Sv.create () in
+  let verdict ?overrides () =
+    let line =
+      Printf.sprintf {|{"id": 1, "verb": "verify", "deck": %s%s}|}
+        (J.to_string (J.Str ladder_deck))
+        (match overrides with
+        | None -> ""
+        | Some ov -> Printf.sprintf {|, "overrides": %s|} ov)
+    in
+    J.to_string (member "reduction" (member "result" (handle1 svc line)))
+  in
+  Alcotest.(check string) "reduce_order 2 certifies" {|"certified"|}
+    (verdict ~overrides:{|{"reduce_order": 2}|} ());
+  Alcotest.(check string) "no overrides, no reduction" {|"not-reduced"|}
+    (verdict ())
+
 (* ------------------------------------------------------------------ *)
 (* fuzz: the wire parser is total *)
 
@@ -960,6 +979,8 @@ let suites =
         Alcotest.test_case "stats shape" `Quick test_stats_shape;
         Alcotest.test_case "reduce overrides" `Quick test_reduce_overrides;
         Alcotest.test_case "verify verb" `Quick test_verify_verb;
+        Alcotest.test_case "verify follows reduce overrides" `Quick
+          test_verify_reduction_verdict;
         Alcotest.test_case "health verb" `Quick test_health_verb;
         Alcotest.test_case "deadline exceeded (jobs 1)" `Quick
           (deadline_exceeded_at 1);
