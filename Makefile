@@ -31,31 +31,32 @@ lint: build
 bench:
 	dune exec bench/main.exe
 
-# extraction-at-scale bench only (MG-CG vs direct, tiled cache, BENCH_5.json);
+# extraction-at-scale bench only (MG-CG vs direct, tiled cache,
+# bench-part6.json);
 # `make bench-extract SMALL=1` runs the reduced CI-sized ladder
 bench-extract:
 	dune exec bench/main.exe -- part6 $(if $(SMALL),small)
 
 # resident-service bench only (cold vs warm requests/s, batching
-# byte-identity, BENCH_6.json); `make bench-serve SMALL=1` runs the
+# byte-identity, bench-part7.json); `make bench-serve SMALL=1` runs the
 # reduced CI-sized workload
 bench-serve:
 	dune exec bench/main.exe -- part7 $(if $(SMALL),small)
 
 # cooperative-cancellation bench only (armed-vs-disarmed AC sweep,
-# deadline-fires probe, BENCH_7.json); `make bench-cancel SMALL=1` runs
+# deadline-fires probe, bench-part8.json); `make bench-cancel SMALL=1` runs
 # the reduced CI-sized ladder
 bench-cancel:
 	dune exec bench/main.exe -- part8 $(if $(SMALL),small)
 
 # PRIMA model-order-reduction bench only (exact vs rank-k AC sweep,
-# matched-accuracy + jobs byte-identity gates, BENCH_8.json);
+# matched-accuracy + jobs byte-identity gates, bench-part9.json);
 # `make bench-reduce SMALL=1` runs the reduced CI-sized mesh
 bench-reduce:
 	dune exec bench/main.exe -- part9 $(if $(SMALL),small)
 
 # numerical pre-flight overhead bench only (static verify vs cold
-# compile on the shipped example decks, <= 5% gate, BENCH_9.json);
+# compile on the shipped example decks, <= 5% gate, bench-part10.json);
 # `make bench-preflight SMALL=1` trims the repetition counts
 bench-preflight:
 	dune exec bench/main.exe -- part10 $(if $(SMALL),small)

@@ -4,11 +4,6 @@
    module only chooses the pool and shapes the work. *)
 
 module Pool = Sn_engine.Pool
-module Diag = Sn_engine.Diag
-
-let log_src = Logs.Src.create "sn.core.sweep" ~doc:"sweep combinators"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
 
 let jobs () = Pool.jobs (Pool.default ())
 let set_jobs n = Pool.set_default_jobs n
@@ -26,42 +21,3 @@ let grid ?pool f xs ys =
 
 let corners ?pool f cs = map_points ?pool f cs
 
-(* ------------------------------------------------------------------ *)
-(* fault-tolerant variants *)
-
-let diag_of_exn = function
-  | Diag.Error d -> d
-  | e -> Diag.Bad_input { loc = Diag.loc "sweep"; what = Printexc.to_string e }
-
-(* Pool workers capture per-point exceptions; each failed point then
-   gets exactly one sequential retry on the calling domain — with the
-   full DC rescue ladder available — before it is written off as an
-   [Error] carrying the diagnostic.  The retry is sequential on
-   purpose: a point that failed under parallel load re-runs in the
-   quietest environment we can offer. *)
-let map_array_result ?pool f points =
-  let p = resolve pool in
-  Pool.map_array_result p f points
-  |> Array.mapi (fun i r ->
-         match r with
-         | Ok v -> Ok v
-         | Error first ->
-           Log.info (fun m ->
-               m "sweep point %d failed (%s); retrying sequentially" i
-                 (Printexc.to_string first));
-           (try Ok (f points.(i))
-            with e ->
-              let d = diag_of_exn e in
-              Log.warn (fun m ->
-                  m "sweep point %d failed permanently: %a" i Diag.pp d);
-              Error d))
-
-let map_points_result ?pool f points =
-  Array.to_list (map_array_result ?pool f (Array.of_list points))
-
-let grid_result ?pool f xs ys =
-  let cells = List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs in
-  List.map2
-    (fun (x, y) r -> (x, y, r))
-    cells
-    (map_points_result ?pool (fun (x, y) -> f x y) cells)

@@ -53,31 +53,3 @@ val corners :
     corner (or any other scenario list) in parallel — {!map_points}
     under a name that reads like the sign-off loop it implements. *)
 
-(** {1 Fault-tolerant sweeps}
-
-    The plain combinators abort the whole sweep on the first
-    exception.  The [_result] variants instead capture each point's
-    failure, retry the point once sequentially on the calling domain
-    (with the full DC rescue ladder available), and return a
-    per-point [result] — one permanently bad point costs one [Error]
-    entry, never the other points' work. *)
-
-val map_points_result :
-  ?pool:Sn_engine.Pool.t ->
-  ('a -> 'b) -> 'a list -> ('b, Sn_engine.Diag.t) result list
-(** [map_points_result f points] is {!map_points} with per-point
-    capture and one sequential retry; results stay in input order.  A
-    non-{!Sn_engine.Diag.Error} exception is wrapped as
-    {!Sn_engine.Diag.Bad_input}. *)
-
-val map_array_result :
-  ?pool:Sn_engine.Pool.t ->
-  ('a -> 'b) -> 'a array -> ('b, Sn_engine.Diag.t) result array
-(** Array analogue of {!map_points_result}. *)
-
-val grid_result :
-  ?pool:Sn_engine.Pool.t ->
-  ('a -> 'b -> 'c) -> 'a list -> 'b list ->
-  ('a * 'b * ('c, Sn_engine.Diag.t) result) list
-(** {!grid} with per-cell capture and retry: the coordinates of a
-    failed cell survive alongside its diagnostic. *)

@@ -33,7 +33,6 @@ let env_jobs () =
 type stats = {
   jobs : int;
   tasks_run : int;
-  tasks_failed : int;
   batches : int;
   busy_seconds : float array;
   wall_seconds : float;
@@ -55,7 +54,6 @@ type t = {
   mutable domains : unit Domain.t array;
   (* observability *)
   mutable tasks_run : int;
-  mutable tasks_failed : int;
   mutable batches : int;
   busy : float array;
   mutable wall : float;
@@ -128,7 +126,6 @@ let create ?jobs () =
       running = false;
       domains = [||];
       tasks_run = 0;
-      tasks_failed = 0;
       batches = 0;
       busy = Array.make n_workers 0.0;
       wall = 0.0;
@@ -210,42 +207,12 @@ let map_array t f xs =
 
 let map_list t f xs = Array.to_list (map_array t f (Array.of_list xs))
 
-(* Per-task exception capture: unlike [map_array], where the first
-   failure aborts the batch, every task runs to completion and returns
-   [Ok _] or [Error exn].  The wrapped task never raises, so the
-   batch-abort machinery in [run] stays dormant and surviving points
-   are never discarded because of a failed sibling. *)
-let map_array_result t f xs =
-  let n = Array.length xs in
-  if n = 0 then [||]
-  else begin
-    let results = Array.make n None in
-    run t ~n (fun i ->
-        let r = try Ok (f xs.(i)) with e -> Error e in
-        results.(i) <- Some r);
-    let out =
-      Array.map (function Some v -> v | None -> assert false) results
-    in
-    let failed =
-      Array.fold_left
-        (fun acc r -> match r with Error _ -> acc + 1 | Ok _ -> acc)
-        0 out
-    in
-    if failed > 0 then begin
-      Mutex.lock t.lock;
-      t.tasks_failed <- t.tasks_failed + failed;
-      Mutex.unlock t.lock
-    end;
-    out
-  end
-
 let stats t =
   Mutex.lock t.lock;
   let s =
     {
       jobs = t.n_workers;
       tasks_run = t.tasks_run;
-      tasks_failed = t.tasks_failed;
       batches = t.batches;
       busy_seconds = Array.copy t.busy;
       wall_seconds = t.wall;
@@ -257,7 +224,6 @@ let stats t =
 let reset_stats t =
   Mutex.lock t.lock;
   t.tasks_run <- 0;
-  t.tasks_failed <- 0;
   t.batches <- 0;
   Array.fill t.busy 0 (Array.length t.busy) 0.0;
   t.wall <- 0.0;
@@ -281,9 +247,6 @@ let pp_stats fmt s =
     (if s.tasks_run = 1 then "" else "s")
     s.batches
     (if s.batches = 1 then "" else "es");
-  if s.tasks_failed > 0 then
-    Format.fprintf fmt "  %d task%s failed@," s.tasks_failed
-      (if s.tasks_failed = 1 then "" else "s");
   Format.fprintf fmt
     "wall %.3f s, cpu %.3f s (parallelism %.2fx, imbalance %.2f)@,"
     s.wall_seconds (cpu_seconds s)

@@ -57,20 +57,11 @@ val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map_list pool f xs] is [List.map f xs] evaluated on the pool, in
     input order. *)
 
-val map_array_result : t -> ('a -> 'b) -> 'a array -> ('b, exn) result array
-(** Fault-tolerant {!map_array}: each task's exception is captured as
-    [Error exn] in its own slot instead of aborting the batch, so a
-    single bad point never discards its siblings' results.  Failures
-    are counted in {!type-stats.field-tasks_failed}. *)
-
 (** {1 Observability} *)
 
 type stats = {
   jobs : int;  (** pool width, including the calling domain *)
   tasks_run : int;  (** tasks completed since the last reset *)
-  tasks_failed : int;
-      (** tasks whose exception was captured by {!map_array_result}
-          since the last reset *)
   batches : int;  (** {!run} invocations since the last reset *)
   busy_seconds : float array;
       (** per-worker wall time spent inside tasks (index 0 is the

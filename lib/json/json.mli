@@ -2,7 +2,7 @@
     JSON.
 
     Every producer — solver diagnostics, lint and verify reports, the
-    wire protocol, the bench's [BENCH_N.json] files — builds a {!t};
+    wire protocol, the bench's [bench-<part>.json] files — builds a {!t};
     {!parse} reads what comes from outside the process (requests,
     files, replies).  A small self-contained value type with a
     recursive-descent parser and a deterministic printer; no external

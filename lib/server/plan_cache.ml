@@ -106,45 +106,41 @@ let find_generic ?(weigh = fun _ -> 0) t table ~key ~(compute : unit -> 'a)
         evict ());
     (v, Protocol.Miss)
 
-(* caller holds the lock *)
-let evict_down t ~max_plans =
+(* caller holds the lock: drop least-recently-used entries of [table]
+   until at most [keep] remain, returning how many went *)
+let trim_lru table ~keep =
   let dropped = ref 0 in
-  while Hashtbl.length t.plans > max 0 max_plans do
+  while Hashtbl.length table > max 0 keep do
     let victim = ref None in
     Hashtbl.iter
       (fun k e ->
         match !victim with
         | Some (_, age) when age <= e.last_use -> ()
         | _ -> victim := Some (k, e.last_use))
-      t.plans;
-    match !victim with
-    | Some (k, _) ->
-      Hashtbl.remove t.plans k;
-      t.evictions <- t.evictions + 1;
-      incr dropped
-    | None -> ()
-  done;
-  (* keep the parse layer from outliving every plan that used it *)
-  while Hashtbl.length t.netlists > 2 * t.max_decks do
-    let victim = ref None in
-    Hashtbl.iter
-      (fun k e ->
-        match !victim with
-        | Some (_, age) when age <= e.last_use -> ()
-        | _ -> victim := Some (k, e.last_use))
-      t.netlists;
-    match !victim with
-    | Some (k, _) -> Hashtbl.remove t.netlists k
-    | None -> ()
+      table;
+    Option.iter
+      (fun (k, _) ->
+        Hashtbl.remove table k;
+        incr dropped)
+      !victim
   done;
   !dropped
 
-let evict_lru t = ignore (evict_down t ~max_plans:t.max_decks)
+(* caller holds the lock; returns how many plans went *)
+let evict_down t ~keep =
+  let dropped = trim_lru t.plans ~keep in
+  t.evictions <- t.evictions + dropped;
+  (* keep the parse layer from outliving every plan that used it *)
+  ignore (trim_lru t.netlists ~keep:(2 * t.max_decks));
+  ignore (trim_lru t.macros ~keep:(min keep t.max_decks));
+  dropped
 
-(* memory-pressure shedding: drop LRU plans down to [keep], returning
-   how many went.  The freed words only leave the process after a
+let evict_lru t = ignore (evict_down t ~keep:t.max_decks)
+
+(* memory-pressure shedding: drop LRU plans (and macromodels) down to
+   [keep], returning how many plans went.  The freed words only leave the process after a
    compaction — the service pairs this with [Gc.compact]. *)
-let shed t ~keep = with_lock t (fun () -> evict_down t ~max_plans:keep)
+let shed t ~keep = with_lock t (fun () -> evict_down t ~keep)
 
 let plan_words t =
   with_lock t (fun () ->
@@ -174,7 +170,7 @@ let find_macro t ~text ~extract =
   find_generic t t.macros ~key ~compute:extract
     ~hit:(fun () -> t.macro_hits <- t.macro_hits + 1)
     ~miss:(fun () -> t.macro_misses <- t.macro_misses + 1)
-    ~evict:(fun () -> ())
+    ~evict:(fun () -> evict_lru t)
 
 (* certificate re-verification of every resident plan: hash-only
    (Reduced_model.verify_certificate), no compile, no factorization.
@@ -217,6 +213,7 @@ let verify_plans t =
 
 type stats = {
   plans : int;
+  macros : int;
   certified_plans : int;
   plan_words : int;
   plan_hits : int;
@@ -232,6 +229,7 @@ let stats t =
   with_lock t (fun () ->
       {
         plans = Hashtbl.length t.plans;
+        macros = Hashtbl.length t.macros;
         certified_plans =
           Hashtbl.fold
             (fun _ e acc -> if e.value.cp_cert <> None then acc + 1 else acc)

@@ -16,16 +16,17 @@
     - {b macro layer}: layout text digest -> extracted substrate
       macromodel (the [extract] verb).
 
-    Plan-layer entries are evicted least-recently-used beyond
-    [max_decks]; the parse layer is evicted alongside (it only exists
-    to de-duplicate work between override variants of one deck).
+    Plan-layer and macro-layer entries are each evicted
+    least-recently-used beyond [max_decks]; the parse layer is evicted
+    alongside (it only exists to de-duplicate work between override
+    variants of one deck).
     All operations are thread-safe. *)
 
 type t
 
 val create : ?max_decks:int -> unit -> t
 (** [create ()] builds an empty cache holding at most [max_decks]
-    (default 128) compiled plans. *)
+    (default 128) compiled plans and as many extracted macromodels. *)
 
 val deck_key : text:string -> overrides:(string * float) list -> string
 (** The plan-layer key: a digest over the deck text and the
@@ -81,12 +82,14 @@ val find_macro :
   t -> text:string ->
   extract:(unit -> Sn_substrate.Macromodel.t) ->
   Sn_substrate.Macromodel.t * Protocol.cache_note
-(** Layout-extraction layer, keyed by layout text digest. *)
+(** Layout-extraction layer, keyed by layout text digest and bounded
+    by [max_decks] with the plan layer's LRU rule. *)
 
 (** Monotonic hit/miss/eviction counters, exposed in the server's
     [stats] reply. *)
 type stats = {
   plans : int;  (** compiled plans currently resident *)
+  macros : int;  (** extracted macromodels currently resident *)
   certified_plans : int;
       (** resident plans carrying a reduction passivity certificate *)
   plan_words : int;
@@ -109,8 +112,9 @@ val plan_words : t -> int
     {!stats.plan_words}). *)
 
 val shed : t -> keep:int -> int
-(** [shed t ~keep] drops least-recently-used plans until at most
-    [keep] remain, returning how many were evicted.  Called by the
+(** [shed t ~keep] drops least-recently-used plans, and
+    least-recently-used macromodels, until at most [keep] of each
+    remain, returning how many plans were evicted.  Called by the
     service when the memory watermark is crossed; the freed words
     leave the process on the next compaction. *)
 

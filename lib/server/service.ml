@@ -867,6 +867,7 @@ let stats_json t =
         J.Obj
           [
             ("plans", num cs.Plan_cache.plans);
+            ("macros", num cs.Plan_cache.macros);
             ("certified_plans", num cs.Plan_cache.certified_plans);
             ("plan_hits", num cs.Plan_cache.plan_hits);
             ("plan_misses", num cs.Plan_cache.plan_misses);
@@ -984,6 +985,7 @@ let health_json t =
         J.Obj
           [
             ("plans", num cs.Plan_cache.plans);
+            ("macros", num cs.Plan_cache.macros);
             ("flows", num (Sn_rf.Lru.length t.flows));
           ] );
       ( "memory",

@@ -224,6 +224,28 @@ let test_plan_cache_lifecycle () =
   Alcotest.(check int) "two plans resident" 2 stats.Pc.plans;
   Alcotest.(check bool) "hits counted" true (stats.Pc.plan_hits >= 3)
 
+(* the extract verb's macro layer shares the plan layer's [max_decks]
+   bound, and a memory-pressure shed trims it too *)
+let test_macro_layer_bounded () =
+  let cache = Pc.create ~max_decks:2 () in
+  let macro =
+    Sn_substrate.Macromodel.make ~ports:[||]
+      ~conductance:(Sn_numerics.Mat.make 0 0) ~well_capacitance:[]
+  in
+  for k = 1 to 50 do
+    ignore
+      (Pc.find_macro cache
+         ~text:(Printf.sprintf "layout %d" k)
+         ~extract:(fun () -> macro))
+  done;
+  Alcotest.(check int) "bounded by max_decks" 2 (Pc.stats cache).Pc.macros;
+  ignore (Pc.shed cache ~keep:0);
+  Alcotest.(check int) "shed empties the layer" 0 (Pc.stats cache).Pc.macros;
+  let _, note =
+    Pc.find_macro cache ~text:"layout 50" ~extract:(fun () -> macro)
+  in
+  Alcotest.(check bool) "shed entry re-extracts" true (note = P.Miss)
+
 (* batched sweep must be byte-identical to one-by-one serving *)
 let batch_vs_individual jobs () =
   Snoise.Sweep.set_jobs jobs;
@@ -339,7 +361,8 @@ let test_stats_shape () =
   (* the new resilience counters *)
   List.iter
     (fun k -> ignore (member k (member "plan_cache" stats)))
-    [ "plan_words"; "shed_plans"; "flows"; "flow_capacity"; "flow_evictions" ];
+    [ "plan_words"; "shed_plans"; "macros"; "flows"; "flow_capacity";
+      "flow_evictions" ];
   List.iter
     (fun k -> ignore (member k (member "memory" stats)))
     [ "watermark_mb"; "heap_mb"; "shed_events"; "rejected_memory" ];
@@ -968,6 +991,8 @@ let suites =
           test_engine_diag_embedded;
         Alcotest.test_case "plan cache lifecycle" `Quick
           test_plan_cache_lifecycle;
+        Alcotest.test_case "macro layer bounded and shed" `Quick
+          test_macro_layer_bounded;
         Alcotest.test_case "batch identity (jobs 1)" `Quick
           (batch_vs_individual 1);
         Alcotest.test_case "batch identity (jobs 4)" `Quick
