@@ -31,8 +31,8 @@ lint: build
 bench:
 	dune exec bench/main.exe
 
-# extraction-at-scale bench only (MG-CG vs direct, tiled cache,
-# bench-part6.json);
+# extraction-at-scale bench only (MG-CG vs direct, cold/warm cache,
+# jobs=1 vs jobs=4 identity; bench-part6.json);
 # `make bench-extract SMALL=1` runs the reduced CI-sized ladder
 bench-extract:
 	dune exec bench/main.exe -- part6 $(if $(SMALL),small)

@@ -486,9 +486,9 @@ let part5 ~small:_ =
    elimination.  Direct is measured only at the small sizes and
    power-law extrapolated past them (the measured-subset idiom of
    part 5); per-size CG iteration counts show the growth that makes
-   the scaling possible.  A 2x2 tiled extraction runs cold then warm
-   against a throwaway cache directory (warm must hit every tile and
-   run zero CG iterations), and jobs=1 vs jobs=4 byte-identity and
+   the scaling possible.  One extraction runs cold then warm against
+   a throwaway cache directory (warm must hit the cache and run zero
+   CG iterations), and jobs=1 vs jobs=4 byte-identity and
    small-grid agreement with the direct oracle are gated.  "small"
    trims the size ladder for CI. *)
 
@@ -513,9 +513,8 @@ let part6 ~small =
         [ G.Rect.make 180.0 180.0 220.0 220.0 ] ]
   in
   let cfg n = { Sub.Grid.nx = n; ny = n; z_per_layer = Some [ 1; 1; 1; 1 ] } in
-  let extract ?tiles ?cache n =
-    X.extract ~config:(cfg n) ?tiles ?cache ~tech:Sn_tech.Tech.imec018 ~die
-      ports
+  let extract ?cache n =
+    X.extract ~config:(cfg n) ?cache ~tech:Sn_tech.Tech.imec018 ~die ports
   in
   let sizes = if small then [| 32; 48 |] else [| 48; 96; 128; 192; 256; 512 |] in
   let direct_limit = 96 in
@@ -587,8 +586,8 @@ let part6 ~small =
   let largest_speedup =
     match List.rev rows with (_, _, s) :: _ -> s | [] -> nan
   in
-  (* tiled extraction, cold vs warm cache *)
-  let n_tiled = if small then 48 else 96 in
+  (* extraction cold vs warm cache *)
+  let n_cache = if small then 48 else 96 in
   let cache_dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "snoise_bench_cache_%d" (Unix.getpid ()))
@@ -598,16 +597,16 @@ let part6 ~small =
       (fun f -> Sys.remove (Filename.concat cache_dir f))
       (Sys.readdir cache_dir);
   let cache = Sub.Cache.create ~dir:cache_dir in
-  let cold, t_cold = time (fun () -> extract ~tiles:(2, 2) ~cache n_tiled) in
+  let cold, t_cold = time (fun () -> extract ~cache n_cache) in
   let st_cold = Option.get (X.last_stats ()) in
-  let warm, t_warm = time (fun () -> extract ~tiles:(2, 2) ~cache n_tiled) in
+  let warm, t_warm = time (fun () -> extract ~cache n_cache) in
   let st_warm = Option.get (X.last_stats ()) in
   (* worker-count determinism *)
   let n_par = if small then 48 else 96 in
   Pool.set_default_jobs 1;
-  let seq = extract ~tiles:(2, 2) n_par in
+  let seq = extract n_par in
   Pool.set_default_jobs 4;
-  let par = extract ~tiles:(2, 2) n_par in
+  let par = extract n_par in
   Pool.set_default_jobs (Pool.env_jobs ());
   {
     metrics =
@@ -615,26 +614,24 @@ let part6 ~small =
       :: List.concat_map (fun (m, _, _) -> m) rows
       @ [ ("accuracy.max_rel_err", !accuracy_err, "ratio");
           ("largest.speedup", largest_speedup, "ratio");
-          count "tiled.grid_nx" n_tiled;
-          count "tiled.tiles" st_cold.X.tiles;
-          count "tiled.interface_nodes" st_cold.X.interface_nodes;
-          ("tiled.cold_s", t_cold, "s");
-          ("tiled.warm_s", t_warm, "s");
-          count "tiled.warm_hits" st_warm.X.cache_hits;
-          count "tiled.warm_cg_iterations" st_warm.X.cg_iterations_total ];
+          count "cache.grid_nx" n_cache;
+          ("cache.cold_s", t_cold, "s");
+          ("cache.warm_s", t_warm, "s");
+          count "cache.warm_hits" st_warm.X.cache_hits;
+          count "cache.warm_cg_iterations" st_warm.X.cg_iterations_total ];
     gates =
       [ ge "ports" (float_of_int (List.length ports)) 1.0;
         ge "grids" (float_of_int (List.length rows)) 1.0 ]
       @ List.concat_map (fun (_, g, _) -> g) rows
       @ [ le "accuracy.max_rel_err" !accuracy_err 1e-8 ]
       @ (if small then [] else [ ge "largest.speedup" largest_speedup 10.0 ])
-      @ [ holds "tiled.cold_all_miss"
-            (st_cold.X.cache_hits = 0 && st_cold.X.cache_misses = st_cold.X.tiles);
-          holds "tiled.warm_all_hit"
-            (st_warm.X.cache_hits = st_warm.X.tiles && st_warm.X.cache_misses = 0);
-          le "tiled.warm_cg_iterations"
+      @ [ holds "cache.cold_all_miss"
+            (st_cold.X.cache_hits = 0 && st_cold.X.cache_misses = 1);
+          holds "cache.warm_all_hit"
+            (st_warm.X.cache_hits = 1 && st_warm.X.cache_misses = 0);
+          le "cache.warm_cg_iterations"
             (float_of_int st_warm.X.cg_iterations_total) 0.0;
-          holds "tiled.warm_identical" (identical cold warm);
+          holds "cache.warm_identical" (identical cold warm);
           holds "parallel_identical" (identical seq par) ];
   }
 
@@ -1184,7 +1181,7 @@ let parts =
     ("part3", "domain-parallel sweep scaling", part3);
     ("part4", "robustness-layer overhead on the healthy path", part4);
     ("part5", "sparse frequency-domain engine (AC sweep + adjoint noise)", part5);
-    ("part6", "substrate extraction at scale (MG-CG, tiles, cache)", part6);
+    ("part6", "substrate extraction at scale (MG-CG, cache)", part6);
     ("part7", "resident service: cold vs warm requests/s", part7);
     ("part8", "cooperative cancellation: check overhead on the AC hot path", part8);
     ("part9", "PRIMA reduction: exact vs rank-k AC sweep", part9);

@@ -65,7 +65,7 @@ let cache_dir_flag =
     & opt (some string) None
     & info [ "cache-dir" ] ~docv:"DIR"
         ~doc:
-          "Persist reduced substrate tile macromodels under $(docv) \
+          "Persist reduced substrate macromodels under $(docv) \
            (content-addressed: entries are keyed by what they were \
            computed from, so stale hits are impossible).  Default: \
            $(b,SNOISE_CACHE_DIR) when set, otherwise no caching.")

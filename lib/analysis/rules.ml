@@ -473,67 +473,6 @@ let untied_rings ctx =
     tbl []
 
 (* ------------------------------------------------------------------ *)
-(* extract-tile-degenerate: an [*%snoise extract tiles=TXxTY ...]
-   directive whose tiling would leave a tile with zero cells (more
-   tiles than grid cells) or guarantee a tile with zero ports
-   (pigeonhole against the deck's substrate port count).  The
-   geometric judgement itself lives in Sn_substrate.Tiling.degenerate,
-   shared with the extractor's runtime warning. *)
-
-let parse_pair s =
-  match String.split_on_char 'x' (String.lowercase_ascii s) with
-  | [ a; b ] -> (
-    match (int_of_string_opt a, int_of_string_opt b) with
-    | Some a, Some b -> Some (a, b)
-    | _ -> None)
-  | _ -> None
-
-(* Flow.default_options' lateral grid, assumed when the directive
-   does not pin grid=NXxNY *)
-let default_extract_grid = (48, 48)
-
-let extract_tile_degenerate ctx =
-  (* substrate port count of the deck: distinct non-ground nodes the
-     rendered macromodel elements touch *)
-  let ports =
-    let tbl = Hashtbl.create 16 in
-    List.iter
-      (fun e ->
-        if is_substrate_element (E.name e) then
-          List.iter
-            (fun n -> if not (E.is_ground n) then Hashtbl.replace tbl n ())
-            (E.nodes e))
-      (elements ctx);
-    Hashtbl.length tbl
-  in
-  List.concat_map
-    (fun (d : C.Netlist.directive) ->
-      if d.C.Netlist.verb <> "extract" then []
-      else
-        match List.assoc_opt "tiles" d.C.Netlist.args with
-        | None -> []
-        | Some tv -> (
-          match parse_pair tv with
-          | None ->
-            [ diag Rule.Warning "extract-tile-degenerate" Rule.Deck
-                "extract directive: cannot parse tiles=%S (expected \
-                 TXxTY, e.g. tiles=2x2)"
-                tv ]
-          | Some tiles -> (
-            let grid =
-              Option.value ~default:default_extract_grid
-                (Option.bind
-                   (List.assoc_opt "grid" d.C.Netlist.args)
-                   parse_pair)
-            in
-            match Sn_substrate.Tiling.degenerate ~tiles ~grid ~ports with
-            | Some why ->
-              [ diag Rule.Warning "extract-tile-degenerate" Rule.Deck
-                  "extract directive: %s" why ]
-            | None -> [])))
-    (C.Netlist.directives ctx.Rule.netlist)
-
-(* ------------------------------------------------------------------ *)
 (* unknown-pragma: a suppression that can never match a rule is a
    typo that silently disables nothing *)
 
@@ -550,11 +489,6 @@ let rec registry =
     { Rule.code = "duplicate-element"; severity = Rule.Warning;
       summary = "two elements with identical kind, nodes and value";
       check = duplicate_elements };
-    { Rule.code = "extract-tile-degenerate"; severity = Rule.Warning;
-      summary =
-        "an extract directive whose tiling leaves a tile without cells \
-         or ports";
-      check = extract_tile_degenerate };
     { Rule.code = "extreme-value"; severity = Rule.Warning;
       summary = "component value or device geometry outside its plausible range";
       check = extreme_values };

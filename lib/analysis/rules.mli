@@ -15,12 +15,6 @@ val registry : Rule.t list
       element terminal;
     - ["duplicate-element"] (warning): two elements of the same kind,
       nodes and value — almost always a double merge;
-    - ["extract-tile-degenerate"] (warning): an
-      [*%snoise extract tiles=TXxTY] directive whose tiling would
-      leave a tile with zero cells (more tiles than lateral grid
-      cells) or guarantee a tile with zero substrate ports
-      (pigeonhole against the deck's port count) — the stitch then
-      only adds overhead;
     - ["extreme-value"] (warning): component value or device geometry
       outside its plausible range — usually a unit-suffix slip;
     - ["floating-body"] (warning): a MOSFET bulk node touched only by

@@ -28,9 +28,9 @@ type directive = { verb : string; args : (string * string) list }
 (** A tool directive carried by the netlist: a verb with key=value
     arguments, written in decks as
     [*%snoise <verb> <key>=<value> ...] — e.g.
-    [*%snoise extract tiles=2x2 grid=48x48] records the intended
-    substrate extraction setup so lint rules can sanity-check it
-    against the deck ([Sn_analysis]'s ["extract-tile-degenerate"]). *)
+    [*%snoise reduce keep=n1,n2] names observation nodes the
+    model-order reduction must leave explicit
+    ([Snoise.Reduced_model]). *)
 
 exception Invalid of string list
 (** Raised by {!create} with all validation messages. *)

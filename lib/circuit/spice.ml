@@ -256,10 +256,9 @@ let logical_lines text =
   join [] (List.mapi (fun i l -> (i + 1, l)) raw)
 
 (* A [%snoise] marker line (leading [*] optional, spaces after the [*]
-   allowed).  Three verbs exist: the lint-suppression pragma
+   allowed).  Two verbs exist: the lint-suppression pragma
    [*%snoise ignore <code>[,<code>...] [<subject>]] (a comma-separated
-   code list shares the one optional subject) and the tool directives
-   [*%snoise extract <key>=<value> ...] and
+   code list shares the one optional subject) and the tool directive
    [*%snoise reduce <key>=<value> ...] (e.g. [keep=n1,n2] naming
    observation nodes the model-order reduction must leave explicit).
    Returns [None] for lines that are no marker at all; raises on a
@@ -296,7 +295,7 @@ let pragma_of_line ~file ln line =
                  ignore_subject = subject;
                  ignore_loc = Some { Netlist.file; line = ln } })
              codes))
-    | _ :: (("extract" | "reduce") as verb) :: rest ->
+    | _ :: ("reduce" as verb) :: rest ->
       let args =
         List.map
           (fun tok ->
@@ -314,7 +313,7 @@ let pragma_of_line ~file ln line =
     | _ ->
       fail ln
         "unknown %snoise marker (expected: ignore <code> [<subject>] | \
-         extract <key>=<value> ... | reduce <key>=<value> ...)"
+         reduce <key>=<value> ...)"
 
 let of_string ?(file = "<string>") text =
   let models = { mos = []; var = [] } in

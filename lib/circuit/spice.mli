@@ -27,10 +27,10 @@
     Lint-suppression pragmas and tool directives ride in comments:
     {v
     *%snoise ignore <code>[,<code>...] [<subject>]
-    *%snoise extract <key>=<value> ...
     *%snoise reduce <key>=<value> ...
     v}
-    and surface as {!Netlist.pragmas} / {!Netlist.directives}; every
+    and surface as {!Netlist.pragmas} / {!Netlist.directives}; any
+    other [%snoise] marker is a {!Parse_error}.  Every
     parsed element also records its {!Netlist.source_loc} so analysis
     diagnostics can point at the offending deck line. *)
 

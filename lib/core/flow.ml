@@ -16,7 +16,6 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 type options = {
   grid : Sub.Grid.config;
-  tiles : int * int;
   interconnect_resistance : bool;
   widen_ground : float option;
   tech : Sn_tech.Tech.t;
@@ -27,7 +26,6 @@ type options = {
 let default_options =
   {
     grid = { Sub.Grid.nx = 48; ny = 48; z_per_layer = Some [ 1; 4; 3; 2 ] };
-    tiles = (1, 1);
     interconnect_resistance = true;
     widen_ground = None;
     tech = Sn_tech.Tech.imec018;
@@ -183,7 +181,6 @@ let compile_deck ?(lint = true) nl =
 
 let compiled_netlist c = c.c_netlist
 let compiled_mna c = c.c_mna
-let compiled_plan c = c.c_plan
 
 let with_lock m f =
   Mutex.lock m;
@@ -257,8 +254,7 @@ let build_nmos ?(options = default_options) params =
   in
   let macro =
     Sub.Extractor.extract_from_layout ~config:options.grid
-      ~tiles:options.tiles ?reduction:(reduction_digest options)
-      ~tech:options.tech layout
+      ?reduction:(reduction_digest options) ~tech:options.tech layout
   in
   Log.info (fun m ->
       m "nmos structure: %d wires, %d substrate ports"
@@ -266,8 +262,6 @@ let build_nmos ?(options = default_options) params =
         (Sub.Macromodel.port_count macro));
   { nmos_params = params; nmos_macro = macro;
     nmos_itc = report.Itc.Extract.netlist; nmos_options = options }
-
-let nmos_macromodel f = f.nmos_macro
 
 let nmos_ground_wire_resistance f =
   Itc.Rc_netlist.resistance_between f.nmos_itc "mos_gr" "gnd_pad"
@@ -373,8 +367,7 @@ let build_vco ?(options = default_options) params ~vtune =
   in
   let macro =
     Sub.Extractor.extract_from_layout ~config:options.grid
-      ~tiles:options.tiles ?reduction:(reduction_digest options)
-      ~tech:options.tech layout
+      ?reduction:(reduction_digest options) ~tech:options.tech layout
   in
   let circuit = Tc.Vco_chip.circuit params ~vtune in
   let merged =

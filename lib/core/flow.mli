@@ -19,10 +19,6 @@ type options = {
   grid : Sn_substrate.Grid.config;
       (** substrate FDM discretization (default 48x48, four doping
           layers) *)
-  tiles : int * int;
-      (** hierarchical-Schur tiling of the substrate extraction
-          (default [(1, 1)], the whole-die reduction) — see
-          {!Sn_substrate.Tiling} *)
   interconnect_resistance : bool;
       (** [false] reproduces the "classical flow" that ignores wire R *)
   widen_ground : float option;
@@ -145,10 +141,6 @@ val compiled_netlist : compiled -> Sn_circuit.Netlist.t
 val compiled_mna : compiled -> Sn_engine.Mna.t
 (** The deck's MNA structure (node/branch name resolution). *)
 
-val compiled_plan : compiled -> Sn_engine.Stamp_plan.t
-(** The compiled stamp plan — what {!Sn_engine.Dc.solve_plan} and the
-    transient engine consume. *)
-
 val compiled_bias : compiled -> Sn_engine.Dc.solution
 (** The DC operating point, solved on first call and memoized.
     Raises {!Sn_engine.Diag.Error} when the rescue ladder is
@@ -178,10 +170,6 @@ val build_nmos :
 (** Extracts the substrate macromodel and the ground interconnect of
     the measurement structure once; bias-dependent analyses reuse
     them. *)
-
-val nmos_macromodel : nmos_flow -> Sn_substrate.Macromodel.t
-(** The reduced substrate admittance model between the structure's
-    contacts (injection pad, rings, back gate). *)
 
 val nmos_ground_wire_resistance : nmos_flow -> float
 (** Extracted metal resistance from the MOS guard ring to the pad. *)

@@ -1,7 +1,7 @@
 (** Passivity / realizability certificates for admittance-like
     matrices.
 
-    A grounded RC pool, a Schur-complement tile conductance matrix and
+    A grounded RC pool, a Schur-complement port conductance matrix and
     a PRIMA-projected (Ĝ, Ĉ) pencil are all passive iff their symmetric
     parts are positive semidefinite.  {!psd} measures the PSD defect by
     LDLᵀ (no eigensolve); {!certify} turns a passing check into a

@@ -3,7 +3,7 @@
 
     Three layers, all keyed by {e content} digests so a stale hit is
     impossible (the same discipline as the on-disk
-    {!Sn_substrate.Cache} for tiles):
+    {!Sn_substrate.Cache} for substrate extractions):
 
     - {b parse layer}: deck text digest -> parsed
       {!Sn_circuit.Netlist.t}.  Editing a deck file changes its

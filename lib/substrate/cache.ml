@@ -1,10 +1,10 @@
 (* Content-addressed macromodel cache.
 
-   A reduced tile model is a pure function of the branch list it was
-   reduced from (grid slice geometry and technology numbers are folded
-   into the branch conductances), the retained-node labels and the
-   solver settings — so the cache key is a digest over exactly that
-   serialized content, and a hit can skip the tile reduction entirely.
+   A reduced port matrix is a pure function of the branch list it was
+   reduced from (grid geometry and technology numbers are folded into
+   the branch conductances), the port labels and the solver settings
+   — so the cache key is a digest over exactly that serialized
+   content, and a hit can skip the reduction entirely.
    Entries persist as versioned Marshal payloads behind a magic
    header; anything unreadable (truncated file, stale version, label
    mismatch) is treated as a miss and recomputed. *)

@@ -1,12 +1,14 @@
-(** Content-addressed cache of reduced tile macromodels.
+(** Content-addressed cache of reduced substrate port matrices.
 
-    A tile's reduced conductance matrix is a pure function of the
-    serialized content {!Extractor} hashes into the key: the tile's
-    branch list (grid slice geometry and technology numbers are folded
-    into the branch conductances), the retained-node labels, and the
-    solver settings.  Keying by content means incremental layout edits
-    and corner sweeps re-reduce only the tiles whose inputs actually
-    changed, while warm extractions skip the reduction entirely.
+    An extraction's reduced conductance matrix is a pure function of
+    the serialized content {!Extractor} hashes into the key: the die's
+    branch list (grid geometry and technology numbers are folded into
+    the branch conductances), the port labels, and the solver
+    settings.  Keying by content means a warm extraction of an
+    unchanged die skips the reduction entirely, while any edit that
+    matters moves the key.  Entries and their type keep the historical
+    "tile" naming ([.tile] files, {!tile_model}) so existing cache
+    directories stay valid.
 
     Entries persist on disk (conventionally under [_snoise_cache/]) as
     versioned [Marshal] payloads behind a magic header.  Reads are
@@ -16,15 +18,14 @@
 type t
 (** A handle on one cache directory. *)
 
-(** A cached reduced tile. *)
+(** A cached reduced port matrix. *)
 type tile_model = {
   labels : string array;
-      (** retained-node labels in matrix order — verified against the
+      (** port labels in matrix order — verified against the
           extraction on a hit, so a stale entry can never be scattered
           into the wrong slots *)
   matrix : float array;
-      (** row-major reduced conductance matrix over the retained
-          nodes *)
+      (** row-major reduced conductance matrix over the ports *)
   iterations : int;  (** CG iterations spent producing the entry *)
   form : string;
       (** solver/reduction configuration tag the entry was produced

@@ -491,48 +491,17 @@ let test_numeric_rule_suppression () =
   check_has "mismatching subject keeps it" "conditioning-span"
     (analyze ~config illcond)
 
-let test_extract_tile_degenerate () =
-  (* the docs/LINT.md minimal deck: four tiles, two substrate port
-     nodes (gr and backgate:m1) *)
-  let deck =
-    "*%snoise extract tiles=2x2 grid=48x48\n\
-     rsub_1 gr backgate:m1 350\n\
-     rgr gr 0 1\n"
-  in
-  let nl = C.Spice.of_string deck in
-  check_has "pigeonhole flagged" "extract-tile-degenerate" (analyze nl);
-  (* more tiles than lateral grid cells *)
-  let nl =
-    C.Spice.of_string
-      "*%snoise extract tiles=8x8 grid=4x4\nrsub_1 gr 0 350\n"
-  in
-  check_has "empty tiles flagged" "extract-tile-degenerate" (analyze nl);
-  (* an unparsable tiles value must not pass silently *)
-  let nl =
-    C.Spice.of_string "*%snoise extract tiles=wide\nrsub_1 gr 0 350\n"
-  in
-  check_has "parse failure flagged" "extract-tile-degenerate" (analyze nl);
-  (* a sound configuration stays silent *)
-  let nl =
-    C.Spice.of_string
-      "*%snoise extract tiles=1x2 grid=48x48\n\
-       rsub_1 gr backgate:m1 350\n\
-       rgr gr 0 1\n"
-  in
-  Alcotest.(check bool)
-    "sound config silent" false
-    (has "extract-tile-degenerate" (analyze nl).A.Analyzer.diagnostics);
+let test_directive_round_trip () =
   (* directives survive a serialization round trip *)
-  let nl = C.Spice.of_string deck in
+  let nl =
+    C.Spice.of_string "*%snoise reduce keep=n1,n2\nr1 n1 n2 1k\nr2 n2 0 1k\n"
+  in
   let nl' = C.Spice.of_string (C.Spice.to_string nl) in
   Alcotest.(check bool)
     "directive round-trips" true
     (C.Netlist.directives nl' = C.Netlist.directives nl
     && C.Netlist.directives nl
-       = [ { C.Netlist.verb = "extract";
-             args = [ ("tiles", "2x2"); ("grid", "48x48") ] } ]);
-  check_has "round-tripped deck still flagged" "extract-tile-degenerate"
-    (analyze nl')
+       = [ { C.Netlist.verb = "reduce"; args = [ ("keep", "n1,n2") ] } ])
 
 (* ------------------------------------------------------------------ *)
 (* JSON output *)
@@ -792,8 +761,8 @@ let suites =
           test_unknown_pragma_loc;
         Alcotest.test_case "numeric rule suppression" `Quick
           test_numeric_rule_suppression;
-        Alcotest.test_case "extract tile degenerate" `Quick
-          test_extract_tile_degenerate;
+        Alcotest.test_case "directive round trip" `Quick
+          test_directive_round_trip;
         Alcotest.test_case "json shape" `Quick test_json_shape;
       ] );
     ( "analysis.decks",

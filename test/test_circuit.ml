@@ -295,10 +295,19 @@ let test_spice_pragmas () =
   Alcotest.(check int) "roundtrip pragmas" 2
     (List.length (C.Netlist.pragmas nl2));
   (* a %snoise line with an unknown verb is a parse error, not a
-     silently-ignored comment *)
-  match C.Spice.of_string "*%snoise frobnicate x\nr1 a 0 1k\n" with
-  | exception C.Spice.Parse_error _ -> ()
-  | _ -> Alcotest.fail "bad pragma accepted"
+     silently-ignored comment; the removed extract directive is one
+     of them, and the error names only the two forms that remain *)
+  List.iter
+    (fun marker ->
+      match C.Spice.of_string (marker ^ "\nr1 a 0 1k\n") with
+      | exception C.Spice.Parse_error (line, msg) ->
+        Alcotest.(check int) (marker ^ ": line") 1 line;
+        Alcotest.(check string) (marker ^ ": message")
+          "unknown %snoise marker (expected: ignore <code> [<subject>] | \
+           reduce <key>=<value> ...)"
+          msg
+      | _ -> Alcotest.failf "%s accepted" marker)
+    [ "*%snoise frobnicate x"; "*%snoise extract tiles=2x2 grid=48x48" ]
 
 let qcheck t = QCheck_alcotest.to_alcotest t
 

@@ -500,8 +500,8 @@ let test_grid_convergence () =
     true (rel < 0.5)
 
 (* ------------------------------------------------------------------ *)
-(* extraction at scale: tiled hierarchical reduction, the macromodel
-   cache, and pool determinism *)
+(* extraction at scale: MG-CG against the direct oracle, the
+   macromodel cache, and pool determinism *)
 
 module Cache = Sn_substrate.Cache
 module Pool = Sn_engine.Pool
@@ -552,24 +552,19 @@ let max_rel_err a b =
     ea;
   !worst
 
-let qcheck_tiled_matches_direct =
-  QCheck.Test.make ~count:12 ~name:"tiled MG-CG = direct elimination"
-    QCheck.(
-      quad (int_range 4 10) (int_range 4 10)
-        (pair (int_range 1 3) (int_range 1 3))
-        (int_range 0 10000))
-    (fun (nx, ny, tiles, seed) ->
+let qcheck_mgcg_matches_direct =
+  QCheck.Test.make ~count:12 ~name:"whole-die MG-CG = direct"
+    QCheck.(triple (int_range 4 10) (int_range 4 10) (int_range 0 10000))
+    (fun (nx, ny, seed) ->
       let cfg = { Grid.nx; ny; z_per_layer = Some [ 1; 1; 1; 1 ] } in
       let ports = scale_ports seed in
-      let tiled =
-        Extractor.extract ~config:cfg ~solver:Extractor.Mg_cg ~tiles
-          ~tech:T.imec018 ~die:scale_die ports
+      let mg =
+        Extractor.extract ~config:cfg ~tech:T.imec018 ~die:scale_die ports
       in
       let direct =
         Elim.reduce_grid ~config:cfg ~tech:T.imec018 ~die:scale_die ports
       in
-      max_rel_err direct.Macromodel.conductance
-        tiled.Macromodel.conductance
+      max_rel_err direct.Macromodel.conductance mg.Macromodel.conductance
       < 1e-8)
 
 let scale_cfg = { Grid.nx = 16; ny = 16; z_per_layer = Some [ 1; 1; 1; 1 ] }
@@ -596,47 +591,58 @@ let fresh_cache_dir =
     dir
 
 let extract_cached cache =
-  Extractor.extract ~config:scale_cfg ~tiles:(2, 2) ~cache ~tech:T.imec018
-    ~die:scale_die scale_ports4
+  Extractor.extract ~config:scale_cfg ~cache ~tech:T.imec018 ~die:scale_die
+    scale_ports4
+
+let cache_entries cache =
+  Sys.readdir (Cache.dir cache)
+  |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".tile")
+  |> List.sort String.compare
 
 let test_cache_round_trip () =
   let cache = Cache.create ~dir:(fresh_cache_dir ()) in
   let cold = extract_cached cache in
   let s_cold = stats_exn () in
   Alcotest.(check int) "cold: no hits" 0 s_cold.Extractor.cache_hits;
-  Alcotest.(check int) "cold: all tiles missed" 4
-    s_cold.Extractor.cache_misses;
+  Alcotest.(check int) "cold: one miss" 1 s_cold.Extractor.cache_misses;
   Alcotest.(check bool) "cold: CG ran" true
     (s_cold.Extractor.cg_iterations_total > 0);
   let warm = extract_cached cache in
   let s_warm = stats_exn () in
-  Alcotest.(check int) "warm: all tiles hit" 4 s_warm.Extractor.cache_hits;
+  Alcotest.(check int) "warm: one hit" 1 s_warm.Extractor.cache_hits;
   Alcotest.(check int) "warm: no misses" 0 s_warm.Extractor.cache_misses;
   Alcotest.(check int) "warm: reduction skipped (no CG)" 0
     s_warm.Extractor.cg_iterations_total;
   check_identical "warm result byte-identical"
     cold.Macromodel.conductance warm.Macromodel.conductance;
-  (* corrupt one entry: that tile (and only that tile) recomputes,
-     and the result is unchanged *)
-  let entries =
-    Sys.readdir (Cache.dir cache)
-    |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".tile")
-    |> List.sort String.compare
-  in
-  Alcotest.(check int) "four entries on disk" 4 (List.length entries);
+  (* corrupt the entry: the extraction recomputes and the result is
+     unchanged *)
+  let entries = cache_entries cache in
+  Alcotest.(check int) "one entry per extraction" 1 (List.length entries);
   let victim = Filename.concat (Cache.dir cache) (List.hd entries) in
   let oc = open_out_bin victim in
   output_string oc "garbage";
   close_out oc;
   let rebuilt = extract_cached cache in
   let s_rebuilt = stats_exn () in
-  Alcotest.(check int) "corrupted: three hits" 3
-    s_rebuilt.Extractor.cache_hits;
+  Alcotest.(check int) "corrupted: no hit" 0 s_rebuilt.Extractor.cache_hits;
   Alcotest.(check int) "corrupted: one miss" 1
     s_rebuilt.Extractor.cache_misses;
+  Alcotest.(check bool) "corrupted: CG ran again" true
+    (s_rebuilt.Extractor.cg_iterations_total > 0);
   check_identical "recomputed result byte-identical"
     cold.Macromodel.conductance rebuilt.Macromodel.conductance
+
+(* The key is a digest of the assembled die, so it must not move when
+   the extractor's code does: a moved key silently turns every
+   existing cache directory cold. *)
+let test_cache_key_stable () =
+  let cache = Cache.create ~dir:(fresh_cache_dir ()) in
+  ignore (extract_cached cache);
+  Alcotest.(check (list string)) "pinned cache key"
+    [ "93b95f94e1c362e72f5ad1aa6d09fc14.tile" ]
+    (cache_entries cache)
 
 let test_cache_reduction_namespace () =
   (* a reduction-tagged run and an exact run must never share cache
@@ -647,34 +653,31 @@ let test_cache_reduction_namespace () =
     Snoise.Reduced_model.(config_digest default_config)
   in
   let extract_reduced () =
-    Extractor.extract ~config:scale_cfg ~tiles:(2, 2) ~cache
-      ~reduction:digest ~tech:T.imec018 ~die:scale_die scale_ports4
+    Extractor.extract ~config:scale_cfg ~cache ~reduction:digest
+      ~tech:T.imec018 ~die:scale_die scale_ports4
   in
   let reduced = extract_reduced () in
   let s = stats_exn () in
-  Alcotest.(check int) "reduced run misses the exact entries" 4
+  Alcotest.(check int) "reduced run misses the exact entry" 1
     s.Extractor.cache_misses;
   Alcotest.(check int) "no cross-namespace hits" 0 s.Extractor.cache_hits;
-  let entries =
-    Sys.readdir (Cache.dir cache) |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".tile")
-  in
-  Alcotest.(check int) "disjoint entries on disk" 8 (List.length entries);
-  check_identical "tile content independent of the tag"
+  Alcotest.(check int) "disjoint entries on disk" 2
+    (List.length (cache_entries cache));
+  check_identical "matrix independent of the tag"
     exact.Macromodel.conductance reduced.Macromodel.conductance;
   (* warm within the same namespace still hits *)
   ignore (extract_reduced ());
   let s_warm = stats_exn () in
-  Alcotest.(check int) "reduced namespace warm" 4 s_warm.Extractor.cache_hits
+  Alcotest.(check int) "reduced namespace warm" 1 s_warm.Extractor.cache_hits
 
 let test_cache_certificates () =
   let cache = Cache.create ~dir:(fresh_cache_dir ()) in
   let cold = extract_cached cache in
   (* every freshly stored entry carries a verifying certificate *)
   let vf = Cache.verify_dir cache in
-  Alcotest.(check int) "four entries judged" 4
+  Alcotest.(check int) "one entry judged" 1
     (List.length vf.Cache.vf_entries);
-  Alcotest.(check int) "all certified" 4 vf.Cache.vf_certified;
+  Alcotest.(check int) "all certified" 1 vf.Cache.vf_certified;
   Alcotest.(check int) "none bad" 0 vf.Cache.vf_bad;
   (* re-verification of a warm cache is hashing only: the warm
      extraction that follows does zero CG work *)
@@ -682,18 +685,13 @@ let test_cache_certificates () =
   let s_warm = stats_exn () in
   Alcotest.(check int) "warm certified cache: 0 CG iterations" 0
     s_warm.Extractor.cg_iterations_total;
-  Alcotest.(check int) "warm certified cache: all hits" 4
+  Alcotest.(check int) "warm certified cache: hit" 1
     s_warm.Extractor.cache_hits;
   check_identical "warm result byte-identical"
     cold.Macromodel.conductance warm.Macromodel.conductance;
   (* tamper with the last byte (inside the stored signature): the
      entry must be judged Bad and the lookup must reject it *)
-  let victim_file =
-    Sys.readdir (Cache.dir cache)
-    |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".tile")
-    |> List.sort String.compare |> List.hd
-  in
+  let victim_file = List.hd (cache_entries cache) in
   let victim_key = Filename.chop_suffix victim_file ".tile" in
   let victim = Filename.concat (Cache.dir cache) victim_file in
   let bytes =
@@ -715,7 +713,8 @@ let test_cache_certificates () =
       (Cache.status_name s));
   let vf2 = Cache.verify_dir cache in
   Alcotest.(check int) "one bad after tampering" 1 vf2.Cache.vf_bad;
-  Alcotest.(check int) "three still certified" 3 vf2.Cache.vf_certified;
+  Alcotest.(check int) "none certified after tampering" 0
+    vf2.Cache.vf_certified;
   (* tampering downgrades to recomputation, never to a wrong answer *)
   Cache.reset_counters ();
   let rebuilt = extract_cached cache in
@@ -746,8 +745,8 @@ let test_cache_certificates () =
 
 let test_jobs_identity () =
   let run () =
-    Extractor.extract ~config:scale_cfg ~tiles:(2, 2) ~tech:T.imec018
-      ~die:scale_die scale_ports4
+    Extractor.extract ~config:scale_cfg ~tech:T.imec018 ~die:scale_die
+      scale_ports4
   in
   Pool.set_default_jobs 1;
   let seq = run () in
@@ -758,24 +757,19 @@ let test_jobs_identity () =
     seq.Macromodel.conductance par.Macromodel.conductance
 
 let test_solvers_agree () =
-  (* both solvers and the untiled path agree on one setup *)
+  (* MG-CG and direct elimination agree on the four-port setup *)
   let base =
     Elim.reduce_grid ~config:scale_cfg ~tech:T.imec018 ~die:scale_die
       scale_ports4
   in
-  List.iter
-    (fun (what, solver, tiles) ->
-      let m =
-        Extractor.extract ~config:scale_cfg ~solver ~tiles ~tech:T.imec018
-          ~die:scale_die scale_ports4
-      in
-      let err = max_rel_err base.Macromodel.conductance m.Macromodel.conductance in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s (rel err %.2e)" what err)
-        true (err < 1e-8))
-    [ ("mg-cg untiled", Extractor.Mg_cg, (1, 1));
-      ("mg-cg tiled", Extractor.Mg_cg, (2, 2));
-      ("direct tiled", Extractor.Direct, (3, 2)) ]
+  let m =
+    Extractor.extract ~config:scale_cfg ~tech:T.imec018 ~die:scale_die
+      scale_ports4
+  in
+  let err = max_rel_err base.Macromodel.conductance m.Macromodel.conductance in
+  Alcotest.(check bool)
+    (Printf.sprintf "mg-cg (rel err %.2e)" err)
+    true (err < 1e-8)
 
 let qcheck t = QCheck_alcotest.to_alcotest t
 
@@ -840,9 +834,10 @@ let suites =
       ] );
     ( "substrate.scale",
       [
-        qcheck qcheck_tiled_matches_direct;
+        qcheck qcheck_mgcg_matches_direct;
         Alcotest.test_case "solvers agree" `Quick test_solvers_agree;
         Alcotest.test_case "cache round trip" `Quick test_cache_round_trip;
+        Alcotest.test_case "cache key stable" `Quick test_cache_key_stable;
         Alcotest.test_case "reduction cache namespace" `Quick
           test_cache_reduction_namespace;
         Alcotest.test_case "cache certificates" `Quick
