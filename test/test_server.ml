@@ -969,6 +969,82 @@ let test_tcp_auth_session () =
         (msg_type (recv ()));
       Unix.close ux)
 
+(* ------------------------------------------------------------------ *)
+(* wire bytes of every verb and refusal
+
+   Each line of golden/serve_replies.jsonl holds a request, the reply a
+   fresh service gives it, and optionally the service [config] and how
+   many copies of the request [fill] the queue first (the busy and
+   quota refusals).  Only run-dependent numbers are masked: every
+   reply's [served.elapsed_ms], and [uptime_s] and [pressure_mb] in
+   [health]. *)
+
+let golden_replies = "golden/serve_replies.jsonl"
+
+let mask_reply reply =
+  let health = J.member "verb" reply = Some (J.Str "health") in
+  let masked path k =
+    match (k, path) with
+    | "elapsed_ms", [ "served" ] -> true
+    | "uptime_s", [ "result" ] | "pressure_mb", [ "memory"; "result" ] ->
+      health
+    | _ -> false
+  in
+  let rec go path = function
+    | J.Obj members ->
+      J.Obj
+        (List.map
+           (fun (k, v) ->
+             (k, if masked path k then J.Str "masked" else go (k :: path) v))
+           members)
+    | other -> other
+  in
+  go [] reply
+
+let golden_reply case =
+  let int_param obj k default =
+    match Option.bind obj (J.member k) with
+    | Some v -> Option.get (J.to_int v)
+    | None -> default
+  in
+  let cfg = J.member "config" case in
+  let config =
+    { Sv.default_config with
+      max_queue = int_param cfg "max_queue" Sv.default_config.max_queue;
+      client_quota = int_param cfg "client_quota" Sv.default_config.client_quota }
+  in
+  let svc = Sv.create ~config () in
+  let line = J.to_string (member "request" case) in
+  for _ = 1 to int_param (Some case) "fill" 0 do
+    ignore (Sv.submit svc ~client:1 line)
+  done;
+  let reply =
+    match Sv.submit svc ~client:1 line with
+    | `Replied r | `Shutdown r -> r
+    | `Queued -> (
+      match List.rev (Sv.drain svc) with
+      | (_, r) :: _ -> r
+      | [] -> Alcotest.fail "queued request got no reply")
+  in
+  mask_reply reply
+
+let test_golden_replies () =
+  (* health reports the pool width; pin it so the bytes do not follow
+     SNOISE_JOBS *)
+  Snoise.Sweep.set_jobs 1;
+  let cases = In_channel.with_open_bin golden_replies In_channel.input_lines in
+  Alcotest.(check bool) "cases present" true (cases <> []);
+  List.iter
+    (fun l ->
+      let case =
+        match J.parse l with Ok j -> j | Error e -> Alcotest.fail e
+      in
+      Alcotest.(check string)
+        (str (member "case" case))
+        (J.to_string (member "reply" case))
+        (J.to_string (golden_reply case)))
+    cases
+
 let suites =
   [
     ( "server-json",
@@ -1024,6 +1100,7 @@ let suites =
           test_warm_restart;
         Alcotest.test_case "drain sheds dead clients" `Quick
           test_drain_sheds_dead_clients;
+        Alcotest.test_case "golden replies" `Quick test_golden_replies;
       ] );
     ( "server-socket",
       [
