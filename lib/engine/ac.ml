@@ -125,9 +125,6 @@ let voltage s node =
   let slot = Mna.node_slot s.mna node in
   if slot < 0 then czero else s.x.(slot)
 
-let magnitude_db s node =
-  N.Units.db_of_ratio (Complex.norm (voltage s node))
-
 type sweep_point = { freq : float; values : (string * Complex.t) list }
 
 let sweep_plan acp ~freqs ~nodes =
@@ -163,8 +160,3 @@ let sweep ?dc netlist ~freqs ~nodes =
   let plan = Stamp_plan.build mna in
   let dc = match dc with Some d -> d | None -> Dc.solve_mna mna in
   sweep_plan (Ac_plan.of_dc plan dc) ~freqs ~nodes
-
-let transfer_db points node =
-  Array.map
-    (fun p -> N.Units.db_of_ratio (Complex.norm (List.assoc node p.values)))
-    points

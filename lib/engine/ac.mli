@@ -36,10 +36,6 @@ val frequency : solution -> float
 val voltage : solution -> string -> Complex.t
 (** Node phasor (0 for ground).  Raises [Not_found]. *)
 
-val magnitude_db : solution -> string -> float
-(** [20 log10 |v(node)|].  Raises [Invalid_argument] when the
-    magnitude is zero. *)
-
 val system_of_plan :
   Stamp_plan.t -> Dc.solution -> omega:float ->
   Complex.t array array * Complex.t array
@@ -69,7 +65,3 @@ val sweep_plan :
     first factorization, repeated and batched sweeps over one cached
     plan are byte-identical however the points are grouped into
     dispatches.  Raises as {!sweep}. *)
-
-val transfer_db : sweep_point array -> string -> float array
-(** [transfer_db points node] extracts [20 log10 |v(node)|] per sweep
-    point. *)

@@ -300,13 +300,19 @@ let recorded_nodes mna options =
 let simulate ?(options = default_options) ~tstop ~dt netlist =
   if tstop <= 0.0 || dt <= 0.0 then
     invalid_arg "Tran.simulate: tstop and dt must be > 0";
+  let steps = Float.round (tstop /. dt) in
+  (* a float beyond the array bound has no int conversion to trust:
+     int_of_float would wrap it to some small (often zero) count *)
+  if not (steps < float_of_int Sys.max_array_length) then
+    invalid_arg "Tran.simulate: tstop/dt does not round to a representable \
+                 step count";
+  let n_steps = int_of_float steps in
   let mna = Mna.build netlist in
   let plan = P.build mna in
   let x0 = initial_unknowns mna plan options in
   let recorded = recorded_nodes mna options in
   (* resolve recorded slots once, outside the time loop *)
   let rec_slots = Array.map (fun n -> Mna.node_slot mna n) recorded in
-  let n_steps = int_of_float (Float.round (tstop /. dt)) in
   let times = Array.init (n_steps + 1) (fun k -> float_of_int k *. dt) in
   let data = Array.map (fun _ -> Array.make (n_steps + 1) 0.0) recorded in
   let record k x =
@@ -508,22 +514,3 @@ let simulate_adaptive ?(options = default_options) ?dt_min ?dt_max
     data = Array.map (fun cell -> Array.of_list (List.rev !cell)) data;
     truncated = !truncated;
   }
-
-let to_csv d =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "time";
-  Array.iter
-    (fun n ->
-      Buffer.add_char b ',';
-      Buffer.add_string b n)
-    d.names;
-  Buffer.add_char b '\n';
-  Array.iteri
-    (fun k t ->
-      Buffer.add_string b (Printf.sprintf "%.12g" t);
-      Array.iter
-        (fun w -> Buffer.add_string b (Printf.sprintf ",%.9g" w.(k)))
-        d.data;
-      Buffer.add_char b '\n')
-    d.times;
-  Buffer.contents b

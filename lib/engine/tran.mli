@@ -57,7 +57,8 @@ val simulate :
     with up to [2 ^ max_step_retries] substeps; if even the smallest
     substep fails, the partial waveform is returned with
     {!type-dataset.field-truncated} set instead of raising.  Raises
-    [Invalid_argument] for non-positive [tstop] / [dt]. *)
+    [Invalid_argument] for non-positive [tstop] / [dt], and when
+    [tstop /. dt] does not round to a representable step count. *)
 
 val simulate_adaptive :
   ?options:options -> ?dt_min:float -> ?dt_max:float -> ?lte_tol:float ->
@@ -80,7 +81,3 @@ val node : dataset -> string -> float array
 val samples_after : dataset -> t0:float -> string -> float array
 (** [samples_after d ~t0 node] drops the start-up transient before
     [t0] — the window handed to the spectral estimator. *)
-
-val to_csv : dataset -> string
-(** [to_csv d] renders the dataset as CSV (header ["time,node,..."]),
-    for external plotting. *)

@@ -1,5 +1,5 @@
-(* Small bounded LRU map, used to cap the per-(vtune, grid) VCO flow
-   cache in the serving layer.  Recency is a monotonic tick stamped on
+(* Small bounded LRU map, the one used by every layer of the serving
+   layer's plan cache.  Recency is a monotonic tick stamped on
    every find/add; eviction scans for the minimum — capacities here
    are single digits to low hundreds, so O(n) eviction beats the
    bookkeeping of an intrusive list.  Not thread-safe: callers hold
@@ -69,5 +69,7 @@ let trim t ~max_entries =
     incr dropped
   done;
   !dropped
+
+let fold t ~init ~f = Hashtbl.fold (fun _ e acc -> f acc e.value) t.table init
 
 let clear t = Hashtbl.reset t.table

@@ -1,14 +1,15 @@
 (** Bounded string-keyed LRU map.
 
-    Caps the serving layer's per-[(vtune, grid)] VCO flow cache (each
-    resident flow holds a substrate macromodel plus compiled tank
-    plans, so an unbounded table is an OOM waiting for a parameter
-    sweep).  Recency is a monotonic tick; eviction is an O(n) minimum
-    scan, which at the single-digit-to-hundreds capacities used here
-    is cheaper than intrusive-list bookkeeping.
+    Bounds every layer of the serving layer's plan cache: parsed
+    decks, compiled plans, extracted macromodels and built VCO flows
+    (each resident flow holds a substrate macromodel plus compiled
+    tank plans, so an unbounded table is an OOM waiting for a
+    parameter sweep).  Recency is a monotonic tick; eviction is an
+    O(n) minimum scan, which at the single-digit-to-hundreds
+    capacities used here is cheaper than intrusive-list bookkeeping.
 
-    Not thread-safe — callers serialize access (the service holds its
-    own lock around every cache probe). *)
+    Not thread-safe — callers serialize access (the plan cache holds
+    its own lock around every probe). *)
 
 type 'a t
 
@@ -35,5 +36,9 @@ val capacity : 'a t -> int
 
 val evictions : 'a t -> int
 (** Total evictions since creation (capacity plus {!trim}). *)
+
+val fold : 'a t -> init:'b -> f:('b -> 'a -> 'b) -> 'b
+(** Fold over the resident values, in no particular order; recency is
+    not touched. *)
 
 val clear : 'a t -> unit

@@ -1,8 +1,10 @@
 (** In-memory content-addressed cache of compiled simulation
     artifacts — what keeps a resident [snoise serve] process hot.
 
-    Three layers, all keyed by {e content} digests so a stale hit is
-    impossible (the same discipline as the on-disk
+    Four layers, each one {!Sn_rf.Lru} reached through the same
+    find-compute-publish path (probe under the lock, compute outside
+    it, publish under the lock), and all keyed by {e content} so a
+    stale hit is impossible (the same discipline as the on-disk
     {!Sn_substrate.Cache} for substrate extractions):
 
     - {b parse layer}: deck text digest -> parsed
@@ -15,18 +17,21 @@
       (deck, bias point) -> [Ac_plan] mapping rides on this layer.
     - {b macro layer}: layout text digest -> extracted substrate
       macromodel (the [extract] verb).
+    - {b flow layer}: the caller's [(vtune, grid)] key -> built VCO
+      flow (the [spur] verb).
 
-    Plan-layer and macro-layer entries are each evicted
-    least-recently-used beyond [max_decks]; the parse layer is evicted
-    alongside (it only exists to de-duplicate work between override
-    variants of one deck).
+    The plan and macro layers each hold at most [max_decks] entries,
+    the parse layer twice that (it only exists to de-duplicate work
+    between override variants of one deck), and the flow layer
+    [max_flows]; each evicts least-recently-used beyond its bound.
     All operations are thread-safe. *)
 
 type t
 
-val create : ?max_decks:int -> unit -> t
+val create : ?max_decks:int -> ?max_flows:int -> unit -> t
 (** [create ()] builds an empty cache holding at most [max_decks]
-    (default 128) compiled plans and as many extracted macromodels. *)
+    (default 128) compiled plans and as many extracted macromodels,
+    and at most [max_flows] (default 8) VCO flows. *)
 
 val deck_key : text:string -> overrides:(string * float) list -> string
 (** The plan-layer key: a digest over the deck text and the
@@ -85,11 +90,19 @@ val find_macro :
 (** Layout-extraction layer, keyed by layout text digest and bounded
     by [max_decks] with the plan layer's LRU rule. *)
 
+val find_flow :
+  t -> key:string -> build:(unit -> Snoise.Flow.vco_flow) ->
+  Snoise.Flow.vco_flow * Protocol.cache_note
+(** VCO-flow layer for the [spur] verb, keyed by the caller's
+    [(vtune, grid)] rendering and bounded by [max_flows]. *)
+
 (** Monotonic hit/miss/eviction counters, exposed in the server's
     [stats] reply. *)
 type stats = {
   plans : int;  (** compiled plans currently resident *)
   macros : int;  (** extracted macromodels currently resident *)
+  flows : int;  (** VCO flows currently resident *)
+  flow_capacity : int;  (** the flow layer's bound ([max_flows]) *)
   certified_plans : int;
       (** resident plans carrying a reduction passivity certificate *)
   plan_words : int;
@@ -102,7 +115,10 @@ type stats = {
   parse_misses : int;
   macro_hits : int;
   macro_misses : int;
+  flow_hits : int;
+  flow_misses : int;
   evictions : int;  (** LRU evictions from the plan layer *)
+  flow_evictions : int;  (** LRU evictions from the flow layer *)
 }
 
 val stats : t -> stats
@@ -114,12 +130,11 @@ val plan_words : t -> int
 val shed : t -> keep:int -> int
 (** [shed t ~keep] drops least-recently-used plans, and
     least-recently-used macromodels, until at most [keep] of each
-    remain, returning how many plans were evicted.  Called by the
+    remain, and the least-recently-used half of the VCO flows,
+    returning how many plans were evicted.  Called by the
     service when the memory watermark is crossed; the freed words
     leave the process on the next compaction. *)
 
 val clear : t -> unit
 (** Drop every entry (the bench's cold-cache mode).  Counters are
     preserved. *)
-
-val reset_counters : t -> unit

@@ -28,20 +28,12 @@ let verb_name = function
   | Health -> "health"
   | Shutdown -> "shutdown"
 
-let verb_of_string = function
-  | "op" -> Some Op
-  | "ac" -> Some Ac
-  | "tran" -> Some Tran
-  | "noise" -> Some Noise
-  | "spur" -> Some Spur
-  | "lint" -> Some Lint
-  | "verify" -> Some Verify
-  | "extract" -> Some Extract
-  | "stats" -> Some Stats
-  | "ping" -> Some Ping
-  | "health" -> Some Health
-  | "shutdown" -> Some Shutdown
-  | _ -> None
+let verbs =
+  [ Op; Ac; Tran; Noise; Spur; Lint; Verify; Extract; Stats; Ping; Health;
+    Shutdown ]
+
+let verb_of_string s =
+  List.find_opt (fun v -> String.equal (verb_name v) s) verbs
 
 type source = Inline of string | Path of string
 
@@ -81,101 +73,72 @@ let error_code_name = function
   | Internal -> "internal"
 
 let parse_request json =
+  let ( let* ) = Result.bind in
+  let bad fmt = Printf.ksprintf (fun m -> Error (Bad_request, m)) fmt in
+  let field k = Json.member k json in
+  let string_field k v =
+    Option.to_result ~none:(Bad_request, Printf.sprintf "%S must be a string" k)
+      (Json.to_str v)
+  in
   match json with
-  | Json.Obj _ -> (
-    let type_ok =
-      match Json.member "type" json with
+  | Json.Obj _ ->
+    let* () =
+      match field "type" with
       | None | Some (Json.Str "request") -> Ok ()
-      | Some (Json.Str other) ->
-        Error
-          (Bad_request, Printf.sprintf "unexpected message type %S" other)
-      | Some _ -> Error (Bad_request, "\"type\" must be a string")
+      | Some (Json.Str other) -> bad "unexpected message type %S" other
+      | Some _ -> bad "\"type\" must be a string"
     in
-    match type_ok with
-    | Error (c, m) -> Error (c, m)
-    | Ok () -> (
-      match Json.member "verb" json with
-      | None -> Error (Bad_request, "missing \"verb\"")
-      | Some v -> (
-        match Json.to_str v with
-        | None -> Error (Bad_request, "\"verb\" must be a string")
-        | Some name -> (
-          match verb_of_string name with
-          | None ->
-            Error (Unknown_verb, Printf.sprintf "unknown verb %S" name)
-          | Some verb -> (
-            let id =
-              Option.value (Json.member "id" json) ~default:Json.Null
-            in
-            let params =
-              Option.value (Json.member "params" json) ~default:Json.Null
-            in
-            let pick_source inline_field path_field =
-              match
-                (Json.member inline_field json, Json.member path_field json)
-              with
-              | Some _, Some _ ->
-                Error
-                  ( Bad_request,
-                    Printf.sprintf "give %S or %S, not both" inline_field
-                      path_field )
-              | Some v, None -> (
-                match Json.to_str v with
-                | Some s -> Ok (Some (Inline s))
-                | None ->
-                  Error
-                    ( Bad_request,
-                      Printf.sprintf "%S must be a string" inline_field ))
-              | None, Some v -> (
-                match Json.to_str v with
-                | Some s -> Ok (Some (Path s))
-                | None ->
-                  Error
-                    ( Bad_request,
-                      Printf.sprintf "%S must be a string" path_field ))
-              | None, None -> Ok None
-            in
-            let source =
-              match verb with
-              | Extract -> pick_source "layout" "layout_path"
-              | _ -> pick_source "deck" "deck_path"
-            in
-            let deadline =
-              match Json.member "deadline_ms" json with
-              | None | Some Json.Null -> Ok None
-              | Some (Json.Num v) when v > 0.0 && Float.is_finite v ->
-                Ok (Some v)
-              | Some _ ->
-                Error
-                  (Bad_request, "\"deadline_ms\" must be a positive number")
-            in
-            match (source, deadline) with
-            | (Error _ as e), _ -> e
-            | _, Error (c, m) -> Error (c, m)
-            | Ok source, Ok deadline_ms -> (
-              match Json.member "overrides" json with
-              | None ->
-                Ok { id; verb; source; overrides = []; deadline_ms; params }
-              | Some (Json.Obj members) -> (
-                let rec collect acc = function
-                  | [] ->
-                    Ok
-                      (List.sort
-                         (fun (a, _) (b, _) -> String.compare a b)
-                         acc)
-                  | (k, Json.Num v) :: rest -> collect ((k, v) :: acc) rest
-                  | (k, _) :: _ ->
-                    Error
-                      ( Bad_request,
-                        Printf.sprintf "override %S must be a number" k )
-                in
-                match collect [] members with
-                | Ok overrides ->
-                  Ok { id; verb; source; overrides; deadline_ms; params }
-                | Error _ as e -> e)
-              | Some _ ->
-                Error (Bad_request, "\"overrides\" must be an object")))))))
-  | _ -> Error (Bad_request, "a request must be a JSON object")
+    let* name =
+      match field "verb" with
+      | None -> bad "missing \"verb\""
+      | Some v -> string_field "verb" v
+    in
+    let* verb =
+      Option.to_result
+        ~none:(Unknown_verb, Printf.sprintf "unknown verb %S" name)
+        (verb_of_string name)
+    in
+    let inline_field, path_field =
+      match verb with
+      | Extract -> ("layout", "layout_path")
+      | _ -> ("deck", "deck_path")
+    in
+    let* source =
+      match (field inline_field, field path_field) with
+      | Some _, Some _ -> bad "give %S or %S, not both" inline_field path_field
+      | Some v, None ->
+        Result.map (fun s -> Some (Inline s)) (string_field inline_field v)
+      | None, Some v ->
+        Result.map (fun s -> Some (Path s)) (string_field path_field v)
+      | None, None -> Ok None
+    in
+    let* deadline_ms =
+      match field "deadline_ms" with
+      | None | Some Json.Null -> Ok None
+      | Some (Json.Num v) when v > 0.0 && Float.is_finite v -> Ok (Some v)
+      | Some _ -> bad "\"deadline_ms\" must be a positive number"
+    in
+    let* overrides =
+      match field "overrides" with
+      | None -> Ok []
+      | Some (Json.Obj members) ->
+        let* pairs =
+          List.fold_left
+            (fun acc (k, v) ->
+              let* acc = acc in
+              match v with
+              | Json.Num x -> Ok ((k, x) :: acc)
+              | _ -> bad "override %S must be a number" k)
+            (Ok []) members
+        in
+        Ok (List.sort (fun (a, _) (b, _) -> String.compare a b) pairs)
+      | Some _ -> bad "\"overrides\" must be an object"
+    in
+    let or_null = Option.value ~default:Json.Null in
+    Ok
+      { id = or_null (field "id"); verb; source; overrides; deadline_ms;
+        params = or_null (field "params") }
+  | _ -> bad "a request must be a JSON object"
 
 type cache_note = Hit | Miss | Not_applicable
 

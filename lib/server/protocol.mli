@@ -40,7 +40,11 @@ type verb =
 val verb_name : verb -> string
 (** Stable lower-case wire name, e.g. ["ac"]. *)
 
+val verbs : verb list
+(** Every verb, in declaration order. *)
+
 val verb_of_string : string -> verb option
+(** The verb whose {!verb_name} is the given string. *)
 
 (** Where the deck (or layout) text comes from.  Inline text and an
     on-disk path are equivalent: both are cached by {e content}

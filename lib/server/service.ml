@@ -49,12 +49,6 @@ type t = {
   mutable svc_total_ms : float;
   mutable svc_max_ms : float;
   mutable svc_last_ms : float;
-  (* VCO flows for the spur verb, keyed by (vtune, grid); LRU-bounded
-     because each resident flow holds a substrate macromodel plus
-     compiled tank plans *)
-  flows : Flow.vco_flow Sn_rf.Lru.t;
-  mutable flow_hits : int;
-  mutable flow_misses : int;
   (* resilience layer (all under [lock] unless noted) *)
   restarts : int;  (* set by the supervisor via SNOISE_RESTARTS *)
   mutable deadline_exceeded : int;
@@ -72,7 +66,9 @@ type t = {
 let create ?(config = default_config) () =
   {
     config;
-    cache = Plan_cache.create ~max_decks:config.max_decks ();
+    cache =
+      Plan_cache.create ~max_decks:config.max_decks
+        ~max_flows:config.max_flows ();
     lock = Mutex.create ();
     queue = Queue.create ();
     per_client = Hashtbl.create 16;
@@ -91,9 +87,6 @@ let create ?(config = default_config) () =
     svc_total_ms = 0.0;
     svc_max_ms = 0.0;
     svc_last_ms = 0.0;
-    flows = Sn_rf.Lru.create ~capacity:(max 1 config.max_flows);
-    flow_hits = 0;
-    flow_misses = 0;
     restarts =
       (match Sys.getenv_opt "SNOISE_RESTARTS" with
       | Some s -> ( match int_of_string_opt s with Some n -> n | None -> 0)
@@ -190,82 +183,56 @@ let with_id json id =
 (* ------------------------------------------------------------------ *)
 (* params accessors (the ["params"] object of a request) *)
 
-let params_members = function
+let params (req : P.request) =
+  match req.P.params with
   | J.Null -> []
   | J.Obj members -> members
   | _ -> raise (Bad "\"params\" must be an object")
 
-let opt_field m k = List.assoc_opt k m
+let opt conv what m k =
+  Option.map
+    (fun v ->
+      match conv v with
+      | Some x -> x
+      | None -> raise (Bad (Printf.sprintf "param %S must be %s" k what)))
+    (List.assoc_opt k m)
 
-let opt_float m k =
-  match opt_field m k with
-  | None -> None
-  | Some v -> (
-    match J.to_float v with
-    | Some f -> Some f
-    | None -> raise (Bad (Printf.sprintf "param %S must be a number" k)))
+let opt_float = opt J.to_float "a number"
+let opt_int = opt J.to_int "an integer"
+let opt_bool = opt J.to_bool "a boolean"
+let opt_str = opt J.to_str "a string"
 
-let req_float m k =
-  match opt_float m k with
-  | Some f -> f
-  | None -> raise (Bad (Printf.sprintf "missing required param %S" k))
-
-let opt_int m k =
-  match opt_field m k with
-  | None -> None
-  | Some v -> (
-    match J.to_int v with
-    | Some i -> Some i
-    | None -> raise (Bad (Printf.sprintf "param %S must be an integer" k)))
-
-let opt_bool m k =
-  match opt_field m k with
-  | None -> None
-  | Some v -> (
-    match J.to_bool v with
-    | Some b -> Some b
-    | None -> raise (Bad (Printf.sprintf "param %S must be a boolean" k)))
-
-let opt_str m k =
-  match opt_field m k with
-  | None -> None
-  | Some v -> (
-    match J.to_str v with
-    | Some s -> Some s
-    | None -> raise (Bad (Printf.sprintf "param %S must be a string" k)))
-
-let req_str m k =
-  match opt_str m k with
-  | Some s -> s
+let required k = function
+  | Some v -> v
   | None -> raise (Bad (Printf.sprintf "missing required param %S" k))
 
 let opt_str_list m k =
-  match opt_field m k with
-  | None -> None
-  | Some v -> (
-    match J.to_list v with
-    | None -> raise (Bad (Printf.sprintf "param %S must be an array" k))
-    | Some items ->
-      Some
-        (List.map
-           (fun item ->
-             match J.to_str item with
-             | Some s -> s
-             | None ->
-               raise (Bad (Printf.sprintf "param %S must hold strings" k)))
-           items))
+  Option.map
+    (fun v ->
+      match J.to_list v with
+      | None -> raise (Bad (Printf.sprintf "param %S must be an array" k))
+      | Some items ->
+        List.map
+          (fun item ->
+            match J.to_str item with
+            | Some s -> s
+            | None ->
+              raise (Bad (Printf.sprintf "param %S must hold strings" k)))
+          items)
+    (List.assoc_opt k m)
 
 (* ["freqs": [...]] or a generated span ["fstart"/"fstop"/"points"
    with log (default) or lin "spacing"] *)
 let freqs_of_params m =
-  match opt_field m "freqs" with
+  match List.assoc_opt "freqs" m with
   | Some v -> (
     match J.float_list v with
     | Some (_ :: _ as l) -> Array.of_list l
     | Some [] -> raise (Bad "\"freqs\" must not be empty")
     | None -> raise (Bad "\"freqs\" must be an array of numbers"))
   | None ->
-    let fstart = req_float m "fstart" and fstop = req_float m "fstop" in
+    let fstart = required "fstart" (opt_float m "fstart")
+    and fstop = required "fstop" (opt_float m "fstop") in
     let points = Option.value (opt_int m "points") ~default:50 in
     if points < 1 then raise (Bad "\"points\" must be >= 1");
     (match Option.value (opt_str m "spacing") ~default:"log" with
@@ -277,6 +244,18 @@ let freqs_of_params m =
 (* ------------------------------------------------------------------ *)
 (* deck resolution and compilation *)
 
+(* a deck-bearing request as decoded: the text is read once (a
+   [deck_path] file included) and digested once into its plan key *)
+type deck = {
+  src : P.source;
+  text : string;
+  overrides : (string * float) list;
+  key : string;  (* plan-cache key: deck digest + overrides *)
+}
+
+let deck_of_text src text overrides =
+  { src; text; overrides; key = Plan_cache.deck_key ~text ~overrides }
+
 let source_text = function
   | P.Inline s -> s
   | P.Path p -> (
@@ -285,14 +264,18 @@ let source_text = function
 
 let source_name = function P.Inline _ -> "<inline>" | P.Path p -> p
 
-let require_source (req : P.request) =
+let require_text (req : P.request) =
   match req.P.source with
-  | Some s -> s
+  | Some src -> (src, source_text src)
   | None ->
     raise
       (Bad
          (Printf.sprintf "verb %S needs a deck (\"deck\" or \"deck_path\")"
             (P.verb_name req.P.verb)))
+
+let deck_of_request (req : P.request) =
+  let src, text = require_text req in
+  deck_of_text src text req.P.overrides
 
 (* reserved override keys steering server-side model-order reduction:
    they are configuration, not element values, so they are peeled off
@@ -362,42 +345,42 @@ let apply_overrides nl overrides =
 
 (* parse (cached), apply the element overrides; the reduce_* overrides
    come back as the request's reduction configuration *)
-let deck_of t ~src ~text ~overrides =
+let parsed t d =
   let nl =
-    Plan_cache.find_netlist t.cache ~text ~parse:(fun s ->
-        C.Spice.of_string ~file:(source_name src) s)
+    Plan_cache.find_netlist t.cache ~text:d.text ~parse:(fun s ->
+        C.Spice.of_string ~file:(source_name d.src) s)
   in
-  let element_overrides, reduce = reduction_of_overrides overrides in
+  let element_overrides, reduce = reduction_of_overrides d.overrides in
   (apply_overrides nl element_overrides, reduce)
 
-(* the deck as the request simulates it; the compiled result is
-   lint-gated with a wire-structured refusal and cached under the
-   content key *)
-let netlist_of t ~src ~text ~overrides =
-  let nl, reduce = deck_of t ~src ~text ~overrides in
+(* the deck as the request simulates it *)
+let netlist_of t d =
+  let nl, reduce = parsed t d in
   match reduce with
   | None -> (nl, None)
   | Some config -> Snoise.Reduced_model.reduce_deck_certified ~config nl
 
-let journal_compile t ~key ~text ~overrides =
+let journal_compile t d =
   match t.journal with
   | None -> ()
   | Some j ->
     let fresh =
       with_lock t (fun () ->
-          if t.journaling && not (Hashtbl.mem t.journaled key) then begin
-            Hashtbl.replace t.journaled key ();
+          if t.journaling && not (Hashtbl.mem t.journaled d.key) then begin
+            Hashtbl.replace t.journaled d.key ();
             true
           end
           else false)
     in
-    if fresh then Journal.append j { Journal.text; overrides }
+    if fresh then
+      Journal.append j { Journal.text = d.text; overrides = d.overrides }
 
-let compiled_of t ~src ~text ~overrides =
-  let key = Plan_cache.deck_key ~text ~overrides in
-  let result =
-    Plan_cache.find_compiled t.cache ~key ~compile:(fun () ->
-        let nl, reduced = netlist_of t ~src ~text ~overrides in
+(* the compiled result is lint-gated with a wire-structured refusal and
+   cached under the content key *)
+let compiled_of t d =
+  let cp, note =
+    Plan_cache.find_compiled t.cache ~key:d.key ~compile:(fun () ->
+        let nl, reduced = netlist_of t d in
         let report = A.Analyzer.analyze nl in
         (match A.Analyzer.errors report with
         | [] -> ()
@@ -408,11 +391,11 @@ let compiled_of t ~src ~text ~overrides =
           cp_cert = Option.bind reduced snd;
         })
   in
-  (match result with
-  | _, P.Miss -> journal_compile t ~key ~text ~overrides
-  | _ -> ());
-  let cp, note = result in
+  if note = P.Miss then journal_compile t d;
   (cp.Plan_cache.cp_plan, note)
+
+let bias_note compiled =
+  if Flow.compiled_bias_cached compiled then P.Hit else P.Miss
 
 (* ------------------------------------------------------------------ *)
 (* result rendering *)
@@ -444,138 +427,155 @@ let noise_points_json ~with_contributions ~freqs table =
        (Array.map
           (fun freq ->
             let (p : E.Noise.point) = Hashtbl.find table freq in
-            let base =
-              [
-                ("freq", J.Num freq);
-                ("total_psd", J.Num p.E.Noise.total_psd);
-                ("spot_nv", J.Num (E.Noise.spot_nv p));
-              ]
+            let contribution (c : E.Noise.contribution) =
+              J.Obj
+                [
+                  ("element", J.Str c.E.Noise.element);
+                  ("psd", J.Num c.E.Noise.psd);
+                ]
             in
-            let members =
+            J.Obj
+              ([
+                 ("freq", J.Num freq);
+                 ("total_psd", J.Num p.E.Noise.total_psd);
+                 ("spot_nv", J.Num (E.Noise.spot_nv p));
+               ]
+              @
               if with_contributions then
-                base
-                @ [
-                    ( "contributions",
-                      J.Arr
-                        (List.map
-                           (fun (c : E.Noise.contribution) ->
-                             J.Obj
-                               [
-                                 ("element", J.Str c.E.Noise.element);
-                                 ("psd", J.Num c.E.Noise.psd);
-                               ])
-                           p.E.Noise.contributions) );
-                  ]
-              else base
-            in
-            J.Obj members)
+                [
+                  ( "contributions",
+                    J.Arr (List.map contribution p.E.Noise.contributions) );
+                ]
+              else []))
           freqs))
 
 (* ------------------------------------------------------------------ *)
-(* batching: one signature per sweep-shaped request, so [drain] can
-   coalesce same-plan same-node requests into one pool dispatch *)
+(* per-verb decode and run.  [decode] reads and validates a request
+   before any engine work; [run] serves a group of decoded requests and
+   returns the plan and bias notes and a per-member render.  Only
+   [ac]/[noise] groups ever hold more than one request. *)
 
-type sweep_sig = {
-  sg_key : string;  (* plan-cache key: deck digest + overrides *)
-  sg_src : P.source;
-  sg_text : string;
-  sg_overrides : (string * float) list;
-  sg_columns : string list;  (* AC probe nodes, or the noise output *)
-  sg_freqs : float array;
-  sg_contributions : bool;  (* noise only: render per-element PSDs *)
-  sg_deadline_ms : float option;  (* only equal deadlines coalesce *)
-}
+let decode_op _ req =
+  let d = deck_of_request req in
+  (d, opt_str_list (params req) "nodes")
 
-let ac_signature (req : P.request) =
-  let m = params_members req.P.params in
-  let nodes =
-    match opt_str_list m "nodes" with
-    | Some (_ :: _ as ns) -> ns
-    | Some [] -> raise (Bad "\"nodes\" must not be empty")
-    | None -> raise (Bad "missing required param \"nodes\"")
-  in
-  let src = require_source req in
-  let text = source_text src in
-  {
-    sg_key = Plan_cache.deck_key ~text ~overrides:req.P.overrides;
-    sg_src = src;
-    sg_text = text;
-    sg_overrides = req.P.overrides;
-    sg_columns = nodes;
-    sg_freqs = freqs_of_params m;
-    sg_contributions = false;
-    sg_deadline_ms = req.P.deadline_ms;
-  }
-
-let noise_signature (req : P.request) =
-  let m = params_members req.P.params in
-  let output = req_str m "output" in
-  let src = require_source req in
-  let text = source_text src in
-  {
-    sg_key = Plan_cache.deck_key ~text ~overrides:req.P.overrides;
-    sg_src = src;
-    sg_text = text;
-    sg_overrides = req.P.overrides;
-    sg_columns = [ output ];
-    sg_contributions = Option.value (opt_bool m "contributions") ~default:false;
-    sg_freqs = freqs_of_params m;
-    sg_deadline_ms = req.P.deadline_ms;
-  }
-
-let compatible a b =
-  String.equal a.sg_key b.sg_key
-  && List.length a.sg_columns = List.length b.sg_columns
-  && List.for_all2 String.equal a.sg_columns b.sg_columns
-  (* a bounded and an unbounded request must not share a fate, and
-     mixed deadlines would cancel the whole group at the earliest one *)
-  && Option.equal Float.equal a.sg_deadline_ms b.sg_deadline_ms
-
-let union_freqs members =
-  List.concat_map (fun (_, sg) -> Array.to_list sg.sg_freqs) members
-  |> List.sort_uniq compare
-  |> Array.of_list
-
-(* ------------------------------------------------------------------ *)
-(* per-verb handlers.  Each returns (result, plan note, bias note). *)
-
-let run_op t (req : P.request) =
-  let src = require_source req in
-  let text = source_text src in
-  let compiled, plan_note =
-    compiled_of t ~src ~text ~overrides:req.P.overrides
-  in
-  let bias_note =
-    if Flow.compiled_bias_cached compiled then P.Hit else P.Miss
-  in
+let run_op t (d, nodes) =
+  let compiled, plan_note = compiled_of t d in
+  let bias = bias_note compiled in
   let dc = Flow.compiled_bias compiled in
-  let m = params_members req.P.params in
   let nodes =
-    match opt_str_list m "nodes" with
+    match nodes with
     | Some ns -> ns
     | None ->
       Array.to_list (E.Mna.node_names (Flow.compiled_mna compiled))
       |> List.sort String.compare
   in
   let voltages = List.map (fun n -> (n, J.Num (E.Dc.voltage dc n))) nodes in
-  (J.Obj [ ("voltages", J.Obj voltages) ], plan_note, bias_note)
+  (J.Obj [ ("voltages", J.Obj voltages) ], plan_note, bias)
 
-let run_tran t (req : P.request) =
-  let src = require_source req in
-  let text = source_text src in
-  let compiled, plan_note =
-    compiled_of t ~src ~text ~overrides:req.P.overrides
+(* sweep-shaped requests coalesce on (plan key, probe columns); the
+   group shares one pool dispatch over the union of its frequencies *)
+type sweep = {
+  deck : deck;
+  columns : string list;  (* AC probe nodes, or the noise output *)
+  freqs : float array;
+  contributions : bool;  (* noise only: render per-element PSDs *)
+}
+
+let sweep_key s = s.deck.key :: s.columns
+
+let decode_ac _ req =
+  let m = params req in
+  let columns =
+    match opt_str_list m "nodes" with
+    | Some (_ :: _ as ns) -> ns
+    | Some [] -> raise (Bad "\"nodes\" must not be empty")
+    | None -> raise (Bad "missing required param \"nodes\"")
   in
-  let m = params_members req.P.params in
-  let tstop = req_float m "tstop" and dt = req_float m "dt" in
+  let deck = deck_of_request req in
+  { deck; columns; freqs = freqs_of_params m; contributions = false }
+
+let decode_noise _ req =
+  let m = params req in
+  let output = required "output" (opt_str m "output") in
+  let deck = deck_of_request req in
+  let contributions =
+    Option.value (opt_bool m "contributions") ~default:false
+  in
+  { deck; columns = [ output ]; freqs = freqs_of_params m; contributions }
+
+(* Byte-identity with one-by-one serving holds because the cached
+   plan's pivot order is fixed by its first (master) factorization —
+   every dispatch refills the same pattern numerically. *)
+let sweep_group t sweeps solve =
+  let leader = List.hd sweeps in
+  let union =
+    List.concat_map (fun s -> Array.to_list s.freqs) sweeps
+    |> List.sort_uniq compare |> Array.of_list
+  in
+  let compiled, plan = compiled_of t leader.deck in
+  let bias = bias_note compiled in
+  let table = Hashtbl.create (Array.length union) in
+  List.iter
+    (fun (freq, v) -> Hashtbl.replace table freq v)
+    (solve compiled leader.columns union);
+  (plan, bias, table)
+
+let run_ac t sweeps =
+  let plan, bias, table =
+    sweep_group t sweeps (fun compiled nodes freqs ->
+        E.Ac.sweep_plan (Flow.compiled_ac_plan compiled) ~freqs ~nodes
+        |> Array.to_list
+        |> List.map (fun (pt : E.Ac.sweep_point) ->
+               (pt.E.Ac.freq, pt.E.Ac.values)))
+  in
+  ( plan,
+    bias,
+    fun s ->
+      J.Obj
+        [ ("points", ac_points_json ~nodes:s.columns ~freqs:s.freqs table) ] )
+
+let run_noise t sweeps =
+  let plan, bias, table =
+    sweep_group t sweeps (fun compiled columns freqs ->
+        let dc = Flow.compiled_bias compiled in
+        E.Noise.analyze_plan ~dc (Flow.compiled_ac_plan compiled)
+          ~output:(List.hd columns) ~freqs
+        |> List.map (fun (pt : E.Noise.point) -> (pt.E.Noise.freq, pt)))
+  in
+  ( plan,
+    bias,
+    fun s ->
+      let total_rms =
+        if Array.length s.freqs >= 2 then
+          J.Num
+            (E.Noise.total_rms
+               (Array.to_list (Array.map (Hashtbl.find table) s.freqs)))
+        else J.Null
+      in
+      J.Obj
+        [
+          ( "points",
+            noise_points_json ~with_contributions:s.contributions
+              ~freqs:s.freqs table );
+          ("total_rms", total_rms);
+        ] )
+
+let decode_tran t req =
+  let d = deck_of_request req in
+  let m = params req in
+  let tstop = required "tstop" (opt_float m "tstop")
+  and dt = required "dt" (opt_float m "dt") in
   if tstop <= 0.0 || dt <= 0.0 then
     raise (Bad "\"tstop\" and \"dt\" must be > 0");
-  let n_points = int_of_float (Float.round (tstop /. dt)) + 1 in
-  if n_points > t.config.tran_max_points then
+  (* compared as a float: a huge ratio must not wrap through
+     int_of_float into a small count *)
+  let n_points = Float.round (tstop /. dt) +. 1.0 in
+  if n_points > float_of_int t.config.tran_max_points then
     raise
       (Bad
          (Printf.sprintf
-            "%d points exceed the service limit of %d (raise \"dt\" or \
+            "%.0f points exceed the service limit of %d (raise \"dt\" or \
              split the window)"
             n_points t.config.tran_max_points));
   let method_ =
@@ -593,6 +593,10 @@ let run_tran t (req : P.request) =
       E.Tran.method_ = method_;
       record = opt_str_list m "nodes" }
   in
+  (d, tstop, dt, options)
+
+let run_tran t (d, tstop, dt, options) =
+  let compiled, plan_note = compiled_of t d in
   let ds =
     E.Tran.simulate ~options ~tstop ~dt (Flow.compiled_netlist compiled)
   in
@@ -616,11 +620,9 @@ let run_tran t (req : P.request) =
     plan_note,
     P.Not_applicable )
 
-let run_lint t (req : P.request) =
-  let src = require_source req in
-  let text = source_text src in
-  let nl, _ = netlist_of t ~src ~text ~overrides:req.P.overrides in
-  let m = params_members req.P.params in
+let decode_lint _ req =
+  let d = deck_of_request req in
+  let m = params req in
   let strict = Option.value (opt_bool m "strict") ~default:false in
   let parse_ignore s =
     match String.index_opt s '=' with
@@ -638,6 +640,10 @@ let run_lint t (req : P.request) =
           (Option.value (opt_str_list m "ignore") ~default:[]);
     }
   in
+  (d, strict, config)
+
+let run_lint t (d, strict, config) =
+  let nl, _ = netlist_of t d in
   let report = A.Analyzer.analyze ~config nl in
   let failing =
     A.Analyzer.errors report <> []
@@ -656,38 +662,38 @@ let run_lint t (req : P.request) =
    re-judges an on-disk tile-cache directory from certificates alone;
    neither re-verifies the resident plan cache.  All three are
    hash-or-LDL^T work — never an extraction, solve or CG iteration. *)
+type verify_subject = Deck of deck | Cache_dir of string | Plans
 
-let run_verify t (req : P.request) =
-  let m = params_members req.P.params in
+let decode_verify _ (req : P.request) =
+  match (opt_str (params req) "cache_dir", req.P.source) with
+  | Some _, Some _ -> raise (Bad "give a deck or \"cache_dir\", not both")
+  | Some dir, None ->
+    if not (Sys.file_exists dir && Sys.is_directory dir) then
+      raise (Bad (Printf.sprintf "cache_dir %S is not a directory" dir));
+    Cache_dir dir
+  | None, Some _ -> Deck (deck_of_request req)
+  | None, None -> Plans
+
+let run_verify t subject =
   let num i = J.Num (float_of_int i) in
   let header mode =
     [ ("schema_version", num A.Analyzer.schema_version); ("mode", J.Str mode) ]
   in
-  match (opt_str m "cache_dir", req.P.source) with
-  | Some _, Some _ ->
-    raise (Bad "give a deck or \"cache_dir\", not both")
-  | Some dir, None ->
-    if not (Sys.file_exists dir && Sys.is_directory dir) then
-      raise (Bad (Printf.sprintf "cache_dir %S is not a directory" dir));
-    let module SC = Sn_substrate.Cache in
-    let v = SC.verify_dir (SC.create ~dir) in
-    ( SC.verification_to_json
+  let result =
+    match subject with
+    | Cache_dir dir ->
+      let module SC = Sn_substrate.Cache in
+      SC.verification_to_json
         ~header:(header "cache" @ [ ("dir", J.Str dir) ])
-        v,
-      P.Not_applicable,
-      P.Not_applicable )
-  | None, Some src ->
-    let text = source_text src in
-    (* the unreduced deck, dry-running the request's own reduction —
-       the same verdict as `snoise verify --reduce-order K DECK` *)
-    let nl, reduce = deck_of t ~src ~text ~overrides:req.P.overrides in
-    ( Flow.preflight_to_json ~header:(header "deck")
-        (Flow.preflight ?reduce nl),
-      P.Not_applicable,
-      P.Not_applicable )
-  | None, None ->
-    let pv = Plan_cache.verify_plans t.cache in
-    ( J.Obj
+        (SC.verify_dir (SC.create ~dir))
+    | Deck d ->
+      (* the unreduced deck, dry-running the request's own reduction —
+         the same verdict as `snoise verify --reduce-order K DECK` *)
+      let nl, reduce = parsed t d in
+      Flow.preflight_to_json ~header:(header "deck") (Flow.preflight ?reduce nl)
+    | Plans ->
+      let pv = Plan_cache.verify_plans t.cache in
+      J.Obj
         (header "plans"
         @ [
             ("plans", num pv.Plan_cache.pv_plans);
@@ -696,13 +702,13 @@ let run_verify t (req : P.request) =
             ("uncertified", num pv.Plan_cache.pv_uncertified);
             ("bad", num pv.Plan_cache.pv_bad);
             ("failing", J.Bool (pv.Plan_cache.pv_bad > 0));
-          ]),
-      P.Not_applicable,
-      P.Not_applicable )
+          ])
+  in
+  (result, P.Not_applicable, P.Not_applicable)
 
-let run_extract t (req : P.request) =
-  let src = require_source req in
-  let text = source_text src in
+let decode_extract _ req = snd (require_text req)
+
+let run_extract t text =
   let macro, note =
     Plan_cache.find_macro t.cache ~text ~extract:(fun () ->
         let layout = Sn_layout.Layout_io.of_string text in
@@ -725,41 +731,41 @@ let run_extract t (req : P.request) =
     note,
     P.Not_applicable )
 
-let run_spur t (req : P.request) =
-  let m = params_members req.P.params in
-  let f_noise = req_float m "f_noise" in
+type spur = {
+  f_noise : float;
+  vtune : float;
+  p_noise_dbm : float;
+  nx : int;
+  ny : int;
+}
+
+let decode_spur _ req =
+  let m = params req in
+  let f_noise = required "f_noise" (opt_float m "f_noise") in
+  if not (f_noise > 0.0) then raise (Bad "param \"f_noise\" must be > 0");
   let vtune = Option.value (opt_float m "vtune") ~default:0.45 in
   let p_noise_dbm = Option.value (opt_float m "p_noise_dbm") ~default:(-5.0) in
   let nx = Option.value (opt_int m "nx") ~default:48 in
   let ny = Option.value (opt_int m "ny") ~default:48 in
   if nx < 4 || ny < 4 then raise (Bad "\"nx\"/\"ny\" must be >= 4");
-  let key = Printf.sprintf "%.17g:%d:%d" vtune nx ny in
-  let cached =
-    with_lock t (fun () ->
-        match Sn_rf.Lru.find t.flows key with
-        | Some f ->
-          t.flow_hits <- t.flow_hits + 1;
-          Some f
-        | None ->
-          t.flow_misses <- t.flow_misses + 1;
-          None)
-  in
+  { f_noise; vtune; p_noise_dbm; nx; ny }
+
+let run_spur t s =
   let flow, note =
-    match cached with
-    | Some f -> (f, P.Hit)
-    | None ->
-      let grid =
-        { Flow.default_options.Flow.grid with
-          Sn_substrate.Grid.nx = nx;
-          ny = ny }
-      in
-      let options = { Flow.default_options with Flow.grid = grid } in
-      let f = Flow.build_vco ~options Sn_testchip.Vco_chip.default ~vtune in
-      with_lock t (fun () -> Sn_rf.Lru.add t.flows key f);
-      (f, P.Miss)
+    Plan_cache.find_flow t.cache
+      ~key:(Printf.sprintf "%.17g:%d:%d" s.vtune s.nx s.ny)
+      ~build:(fun () ->
+        let grid =
+          { Flow.default_options.Flow.grid with
+            Sn_substrate.Grid.nx = s.nx;
+            ny = s.ny }
+        in
+        let options = { Flow.default_options with Flow.grid = grid } in
+        Flow.build_vco ~options Sn_testchip.Vco_chip.default ~vtune:s.vtune)
   in
+  let f_noise = s.f_noise in
   let h = Flow.vco_transfers flow ~f_noise:[| f_noise |] in
-  let spur = Flow.vco_spur flow ~h ~p_noise_dbm ~f_noise in
+  let spur = Flow.vco_spur flow ~h ~p_noise_dbm:s.p_noise_dbm ~f_noise in
   let module I = Sn_rf.Impact in
   ( J.Obj
       [
@@ -814,15 +820,10 @@ let try_shed t =
   if allowed then begin
     let resident = (Plan_cache.stats t.cache).Plan_cache.plans in
     let dropped = Plan_cache.shed t.cache ~keep:(resident / 2) in
-    let flows_dropped =
-      with_lock t (fun () ->
-          Sn_rf.Lru.trim t.flows
-            ~max_entries:(Sn_rf.Lru.length t.flows / 2))
-    in
     with_lock t (fun () -> t.shed_plans <- t.shed_plans + dropped);
     Log.warn (fun m ->
-        m "memory watermark: shed %d plan(s), %d flow(s), compacting"
-          dropped flows_dropped);
+        m "memory watermark: shed %d plan(s) and half the flows, compacting"
+          dropped);
     Gc.compact ()
   end
 
@@ -878,11 +879,11 @@ let stats_json t =
             ("evictions", num cs.Plan_cache.evictions);
             ("plan_words", num cs.Plan_cache.plan_words);
             ("shed_plans", num t.shed_plans);
-            ("flows", num (Sn_rf.Lru.length t.flows));
-            ("flow_capacity", num (Sn_rf.Lru.capacity t.flows));
-            ("flow_evictions", num (Sn_rf.Lru.evictions t.flows));
-            ("flow_hits", num t.flow_hits);
-            ("flow_misses", num t.flow_misses);
+            ("flows", num cs.Plan_cache.flows);
+            ("flow_capacity", num cs.Plan_cache.flow_capacity);
+            ("flow_evictions", num cs.Plan_cache.flow_evictions);
+            ("flow_hits", num cs.Plan_cache.flow_hits);
+            ("flow_misses", num cs.Plan_cache.flow_misses);
           ] );
       ( "timings_ms",
         J.Obj
@@ -986,7 +987,7 @@ let health_json t =
           [
             ("plans", num cs.Plan_cache.plans);
             ("macros", num cs.Plan_cache.macros);
-            ("flows", num (Sn_rf.Lru.length t.flows));
+            ("flows", num cs.Plan_cache.flows);
           ] );
       ( "memory",
         J.Obj
@@ -999,18 +1000,15 @@ let health_json t =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* submit: parse, immediately answer control verbs and refusals, queue
-   analysis work *)
+(* dispatch: every queued request runs as a group *)
 
 let bump table k v =
-  match Hashtbl.find_opt table k with
-  | Some prev -> Hashtbl.replace table k (prev +. v)
-  | None -> Hashtbl.replace table k v
+  let prev = Option.value (Hashtbl.find_opt table k) ~default:0.0 in
+  Hashtbl.replace table k (prev +. v)
 
 let count table k =
-  match Hashtbl.find_opt table k with
-  | Some prev -> Hashtbl.replace table k (prev + 1)
-  | None -> Hashtbl.replace table k 1
+  let prev = Option.value (Hashtbl.find_opt table k) ~default:0 in
+  Hashtbl.replace table k (prev + 1)
 
 let note_reply t reply =
   with_lock t (fun () ->
@@ -1019,115 +1017,6 @@ let note_reply t reply =
         t.errors_total <- t.errors_total + 1
       | _ -> t.responses_total <- t.responses_total + 1);
   reply
-
-let submit t ~client line =
-  let trimmed = String.trim line in
-  match J.parse trimmed with
-  | Error msg -> `Replied (note_reply t (P.error P.Parse_error msg))
-  | Ok json -> (
-    with_lock t (fun () -> t.requests_total <- t.requests_total + 1);
-    match P.parse_request json with
-    | Error (code, msg) ->
-      let id = Option.value (J.member "id" json) ~default:J.Null in
-      `Replied (note_reply t (P.error ~id code msg))
-    | Ok req -> (
-      with_lock t (fun () -> count t.verb_counts (P.verb_name req.P.verb));
-      let served_now =
-        { P.elapsed_ms = 0.0; plan = P.Not_applicable;
-          bias = P.Not_applicable; batched = 1 }
-      in
-      match req.P.verb with
-      | P.Ping ->
-        `Replied
-          (note_reply t
-             (P.response ~id:req.P.id ~verb:P.Ping ~served:served_now
-                (J.Obj [])))
-      | P.Stats ->
-        `Replied
-          (note_reply t
-             (P.response ~id:req.P.id ~verb:P.Stats ~served:served_now
-                (stats_json t)))
-      | P.Health ->
-        `Replied
-          (note_reply t
-             (P.response ~id:req.P.id ~verb:P.Health ~served:served_now
-                (health_json t)))
-      | P.Shutdown ->
-        `Shutdown
-          (note_reply t
-             (P.response ~id:req.P.id ~verb:P.Shutdown ~served:served_now
-                (J.Obj [ ("stopping", J.Bool true) ])))
-      | P.Op | P.Ac | P.Tran | P.Noise | P.Spur | P.Lint | P.Verify
-      | P.Extract -> (
-        (* graceful degradation: when the heap (or the accounted plan
-           cache) crosses the watermark, shed LRU state once, and if
-           that was not enough answer busy instead of growing toward
-           the OOM killer *)
-        let memory_ok =
-          if not (over_watermark t) then true
-          else begin
-            try_shed t;
-            not (over_watermark t)
-          end
-        in
-        let arrived = Unix.gettimeofday () in
-        let verdict =
-          with_lock t (fun () ->
-              let depth = Queue.length t.queue in
-              let mine =
-                Option.value (Hashtbl.find_opt t.per_client client) ~default:0
-              in
-              if not memory_ok then begin
-                t.rejected_memory <- t.rejected_memory + 1;
-                t.rejected_busy <- t.rejected_busy + 1;
-                `Memory
-              end
-              else if depth >= t.config.max_queue then begin
-                t.rejected_busy <- t.rejected_busy + 1;
-                `Busy
-              end
-              else if mine >= t.config.client_quota then begin
-                t.rejected_quota <- t.rejected_quota + 1;
-                `Quota
-              end
-              else begin
-                t.seq <- t.seq + 1;
-                Queue.add { seq = t.seq; client; arrived; req } t.queue;
-                Hashtbl.replace t.per_client client (mine + 1);
-                t.max_depth <- max t.max_depth (depth + 1);
-                `Accepted
-              end)
-        in
-        match verdict with
-        | `Accepted -> `Queued
-        | `Memory ->
-          `Replied
-            (note_reply t
-               (P.error ~id:req.P.id
-                  ~data:[ ("retry_after_ms", J.Num 100.0) ]
-                  P.Busy
-                  (Printf.sprintf
-                     "memory pressure: %.0f MB exceeds the %d MB watermark"
-                     (mem_pressure_mb t) t.config.mem_watermark_mb)))
-        | `Busy ->
-          `Replied
-            (note_reply t
-               (P.error ~id:req.P.id
-                  ~data:[ ("retry_after_ms", J.Num 100.0) ]
-                  P.Busy
-                  (Printf.sprintf "queue full (%d requests)"
-                     t.config.max_queue)))
-        | `Quota ->
-          `Replied
-            (note_reply t
-               (P.error ~id:req.P.id
-                  ~data:[ ("retry_after_ms", J.Num 100.0) ]
-                  P.Quota_exceeded
-                  (Printf.sprintf "client has %d requests queued (quota %d)"
-                     t.config.client_quota t.config.client_quota))))))
-
-(* ------------------------------------------------------------------ *)
-(* drain: execute everything queued, coalescing sweep-shaped work *)
 
 let finish_timing t verb t0 =
   let elapsed_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
@@ -1163,51 +1052,29 @@ let run_with_deadline t ~arrived ~deadline_ms f =
       with_lock t (fun () -> t.deadline_exceeded <- t.deadline_exceeded + 1);
       raise e)
 
-let serve_single t (p : pending) =
-  let t0 = Unix.gettimeofday () in
-  let outcome =
-    guard_result ~id:p.req.P.id (fun () ->
-        fire_kill ();
-        run_with_deadline t ~arrived:p.arrived ~deadline_ms:p.req.P.deadline_ms
-          (fun () ->
-            match p.req.P.verb with
-            | P.Op -> run_op t p.req
-            | P.Tran -> run_tran t p.req
-            | P.Lint -> run_lint t p.req
-            | P.Verify -> run_verify t p.req
-            | P.Extract -> run_extract t p.req
-            | P.Spur -> run_spur t p.req
-            | P.Ac | P.Noise | P.Stats | P.Ping | P.Health | P.Shutdown ->
-              assert false))
-  in
-  let elapsed_ms = finish_timing t p.req.P.verb t0 in
-  with_lock t (fun () -> t.dispatches <- t.dispatches + 1);
-  match outcome with
-  | Error reply -> note_reply t reply
-  | Ok (result, plan, bias) ->
-    note_reply t
-      (P.response ~id:p.req.P.id ~verb:p.req.P.verb
-         ~served:{ P.elapsed_ms; plan; bias; batched = 1 }
-         result)
+(* One verb's table entry for queued work.  Requests whose [coalesce]
+   keys are
+   equal (and whose deadlines are equal: a group cancels as a unit)
+   share one group; a verb without a key runs every request as a group
+   of one. *)
+type 'a spec = {
+  decode : t -> P.request -> 'a;
+  coalesce : ('a -> string list) option;
+  run : t -> 'a list -> P.cache_note * P.cache_note * ('a -> J.t);
+}
 
-(* serve a compatible group of AC (or noise) requests with one pool
-   dispatch over the union of their frequencies.  Byte-identity with
-   one-by-one serving holds because the cached plan's pivot order is
-   fixed by its first (master) factorization — every dispatch refills
-   the same pattern numerically. *)
-let serve_sweep_group t ~verb (members : (pending * sweep_sig) list) emit =
+(* Serve one group: the only place that guards, arms the deadline
+   (from the earliest member's admission), times and counts a
+   dispatch.  A group failure reaches every member under its own id. *)
+let serve_group t spec (members : (pending * 'a) list) =
   let t0 = Unix.gettimeofday () in
-  let leader = snd (List.hd members) in
+  let leader = fst (List.hd members) in
+  let verb = leader.req.P.verb in
   let n = List.length members in
   with_lock t (fun () ->
       t.dispatches <- t.dispatches + 1;
-      if n > 1 then t.coalesced <- t.coalesced + (n - 1));
-  let union = union_freqs members in
-  Log.debug (fun m ->
-      m "dispatch %s: %d request(s), %d union point(s)" (P.verb_name verb) n
-        (Array.length union));
-  (* the earliest member's admission time bounds the whole group (all
-     members carry the same deadline_ms by [compatible]) *)
+      t.coalesced <- t.coalesced + (n - 1));
+  Log.debug (fun m -> m "dispatch %s: %d request(s)" (P.verb_name verb) n);
   let arrived =
     List.fold_left
       (fun acc ((p : pending), _) -> Float.min acc p.arrived)
@@ -1216,83 +1083,168 @@ let serve_sweep_group t ~verb (members : (pending * sweep_sig) list) emit =
   let outcome =
     guard_result ~id:J.Null (fun () ->
         fire_kill ();
-        run_with_deadline t ~arrived ~deadline_ms:leader.sg_deadline_ms
-          (fun () ->
-        let compiled, plan_note =
-          compiled_of t ~src:leader.sg_src ~text:leader.sg_text
-            ~overrides:leader.sg_overrides
-        in
-        let bias_note =
-          if Flow.compiled_bias_cached compiled then P.Hit else P.Miss
-        in
-        let acp = Flow.compiled_ac_plan compiled in
-        let render =
-          match verb with
-          | P.Ac ->
-            let points =
-              E.Ac.sweep_plan acp ~freqs:union ~nodes:leader.sg_columns
-            in
-            let table = Hashtbl.create (Array.length union) in
-            Array.iter
-              (fun (pt : E.Ac.sweep_point) ->
-                Hashtbl.replace table pt.E.Ac.freq pt.E.Ac.values)
-              points;
-            fun sg ->
-              J.Obj
-                [
-                  ( "points",
-                    ac_points_json ~nodes:sg.sg_columns ~freqs:sg.sg_freqs
-                      table );
-                ]
-          | P.Noise ->
-            let dc = Flow.compiled_bias compiled in
-            let output = List.hd leader.sg_columns in
-            let points = E.Noise.analyze_plan ~dc acp ~output ~freqs:union in
-            let table = Hashtbl.create (Array.length union) in
-            List.iter
-              (fun (pt : E.Noise.point) ->
-                Hashtbl.replace table pt.E.Noise.freq pt)
-              points;
-            fun sg ->
-              let points_json =
-                noise_points_json ~with_contributions:sg.sg_contributions
-                  ~freqs:sg.sg_freqs table
-              in
-              let total_rms =
-                if Array.length sg.sg_freqs >= 2 then
-                  J.Num
-                    (E.Noise.total_rms
-                       (Array.to_list
-                          (Array.map (Hashtbl.find table) sg.sg_freqs)))
-                else J.Null
-              in
-              J.Obj [ ("points", points_json); ("total_rms", total_rms) ]
-          | _ -> assert false
-        in
-        (plan_note, bias_note, render)))
+        run_with_deadline t ~arrived ~deadline_ms:leader.req.P.deadline_ms
+          (fun () -> spec.run t (List.map snd members)))
   in
   let elapsed_ms = finish_timing t verb t0 in
   match outcome with
   | Error failure ->
-    (* the group failed as a unit (lint refusal, singular pivot, bad
-       deck): every member gets the error, tagged with its own id *)
-    List.iter
+    List.map
       (fun ((p : pending), _) ->
-        emit p.seq p.client (note_reply t (with_id failure p.req.P.id)))
+        (p, note_reply t (with_id failure p.req.P.id)))
       members
   | Ok (plan_note, bias_note, render) ->
-    List.iteri
-      (fun i ((p : pending), sg) ->
+    List.mapi
+      (fun i ((p : pending), d) ->
         (* the leader reports the real cache outcome; coalesced
            followers ran off the (by now resident) plan *)
-        let plan = if i = 0 then plan_note else P.Hit in
-        let bias = if i = 0 then bias_note else P.Hit in
-        emit p.seq p.client
-          (note_reply t
-             (P.response ~id:p.req.P.id ~verb
-                ~served:{ P.elapsed_ms; plan; bias; batched = n }
-                (render sg))))
+        let plan, bias =
+          if i = 0 then (plan_note, bias_note) else (P.Hit, P.Hit)
+        in
+        ( p,
+          note_reply t
+            (P.response ~id:p.req.P.id ~verb
+               ~served:{ P.elapsed_ms; plan; bias; batched = n }
+               (render d)) ))
       members
+
+(* Decode each of one verb's queued requests once and group them by
+   key.  Each job is tagged with the seq of its first member, so
+   [drain] runs the groups of every verb in queue order. *)
+let jobs_of t spec items =
+  let groups = Hashtbl.create 8 in
+  let jobs = ref [] in
+  List.iter
+    (fun (p : pending) ->
+      match guard_result ~id:p.req.P.id (fun () -> spec.decode t p.req) with
+      | Error reply ->
+        jobs := (p.seq, fun () -> [ (p, note_reply t reply) ]) :: !jobs
+      | Ok d -> (
+        let key =
+          Option.map (fun k -> (k d, p.req.P.deadline_ms)) spec.coalesce
+        in
+        match Option.bind key (Hashtbl.find_opt groups) with
+        | Some members -> members := (p, d) :: !members
+        | None ->
+          let members = ref [ (p, d) ] in
+          Option.iter (fun k -> Hashtbl.replace groups k members) key;
+          let serve () = serve_group t spec (List.rev !members) in
+          jobs := (p.seq, serve) :: !jobs))
+    items;
+  !jobs
+
+type entry =
+  | Answer of (t -> J.t)  (* answered at submit, never queued *)
+  | Queued of
+      (t -> pending list -> (int * (unit -> (pending * J.t) list)) list)
+
+let queued ?coalesce decode run =
+  Queued (fun t items -> jobs_of t { decode; coalesce; run } items)
+
+(* a verb that never coalesces: its group is always one request *)
+let alone decode run =
+  queued decode (fun t members ->
+      let result, plan, bias = run t (List.hd members) in
+      (plan, bias, fun _ -> result))
+
+(* the verb table *)
+let entry = function
+  | P.Op -> alone decode_op run_op
+  | P.Ac -> queued ~coalesce:sweep_key decode_ac run_ac
+  | P.Tran -> alone decode_tran run_tran
+  | P.Noise -> queued ~coalesce:sweep_key decode_noise run_noise
+  | P.Spur -> alone decode_spur run_spur
+  | P.Lint -> alone decode_lint run_lint
+  | P.Verify -> alone decode_verify run_verify
+  | P.Extract -> alone decode_extract run_extract
+  | P.Stats -> Answer stats_json
+  | P.Ping -> Answer (fun _ -> J.Obj [])
+  | P.Health -> Answer health_json
+  | P.Shutdown -> Answer (fun _ -> J.Obj [ ("stopping", J.Bool true) ])
+
+(* ------------------------------------------------------------------ *)
+(* submit: parse, immediately answer control verbs and refusals, queue
+   analysis work *)
+
+(* Admission: when the heap (or the accounted plan cache) crosses the
+   watermark, shed LRU state once, and if that was not enough answer
+   busy instead of growing toward the OOM killer; then the bounded
+   queue, then the per-client quota.  [None] means queued. *)
+let admit t ~client req =
+  let memory_ok =
+    (not (over_watermark t)) || (try_shed t; not (over_watermark t))
+  in
+  let arrived = Unix.gettimeofday () in
+  with_lock t (fun () ->
+      let depth = Queue.length t.queue in
+      let mine =
+        Option.value (Hashtbl.find_opt t.per_client client) ~default:0
+      in
+      if not memory_ok then begin
+        t.rejected_memory <- t.rejected_memory + 1;
+        t.rejected_busy <- t.rejected_busy + 1;
+        Some
+          ( P.Busy,
+            Printf.sprintf
+              "memory pressure: %.0f MB exceeds the %d MB watermark"
+              (mem_pressure_mb t) t.config.mem_watermark_mb )
+      end
+      else if depth >= t.config.max_queue then begin
+        t.rejected_busy <- t.rejected_busy + 1;
+        Some
+          (P.Busy, Printf.sprintf "queue full (%d requests)" t.config.max_queue)
+      end
+      else if mine >= t.config.client_quota then begin
+        t.rejected_quota <- t.rejected_quota + 1;
+        Some
+          ( P.Quota_exceeded,
+            Printf.sprintf "client has %d requests queued (quota %d)"
+              t.config.client_quota t.config.client_quota )
+      end
+      else begin
+        t.seq <- t.seq + 1;
+        Queue.add { seq = t.seq; client; arrived; req } t.queue;
+        Hashtbl.replace t.per_client client (mine + 1);
+        t.max_depth <- max t.max_depth (depth + 1);
+        None
+      end)
+
+let submit t ~client line =
+  let trimmed = String.trim line in
+  match J.parse trimmed with
+  | Error msg -> `Replied (note_reply t (P.error P.Parse_error msg))
+  | Ok json -> (
+    with_lock t (fun () -> t.requests_total <- t.requests_total + 1);
+    match P.parse_request json with
+    | Error (code, msg) ->
+      let id = Option.value (J.member "id" json) ~default:J.Null in
+      `Replied (note_reply t (P.error ~id code msg))
+    | Ok req -> (
+      let verb = req.P.verb in
+      with_lock t (fun () -> count t.verb_counts (P.verb_name verb));
+      match entry verb with
+      | Answer answer ->
+        let reply =
+          note_reply t
+            (P.response ~id:req.P.id ~verb
+               ~served:
+                 { P.elapsed_ms = 0.0; plan = P.Not_applicable;
+                   bias = P.Not_applicable; batched = 1 }
+               (answer t))
+        in
+        if verb = P.Shutdown then `Shutdown reply else `Replied reply
+      | Queued _ -> (
+        match admit t ~client req with
+        | None -> `Queued
+        | Some (code, msg) ->
+          `Replied
+            (note_reply t
+               (P.error ~id:req.P.id
+                  ~data:[ ("retry_after_ms", J.Num 100.0) ]
+                  code msg)))))
+
+(* ------------------------------------------------------------------ *)
+(* drain: execute everything queued, one group at a time *)
 
 let drain ?(alive = fun _ -> true) t =
   let items =
@@ -1318,39 +1270,18 @@ let drain ?(alive = fun _ -> true) t =
         end)
       items
   in
-  let results = ref [] in
-  let emit seq client reply = results := (seq, (client, reply)) :: !results in
-  let taken = Hashtbl.create 16 in
-  let try_signature (p : pending) =
-    match p.req.P.verb with
-    | P.Ac -> Some (guard_result ~id:p.req.P.id (fun () -> ac_signature p.req))
-    | P.Noise ->
-      Some (guard_result ~id:p.req.P.id (fun () -> noise_signature p.req))
-    | _ -> None
-  in
-  List.iter
-    (fun (p : pending) ->
-      if not (Hashtbl.mem taken p.seq) then begin
-        Hashtbl.replace taken p.seq ();
-        match try_signature p with
-        | None -> emit p.seq p.client (serve_single t p)
-        | Some (Error reply) -> emit p.seq p.client (note_reply t reply)
-        | Some (Ok leader_sig) ->
-          let group = ref [ (p, leader_sig) ] in
-          List.iter
-            (fun (q : pending) ->
-              if (not (Hashtbl.mem taken q.seq)) && q.req.P.verb = p.req.P.verb
-              then
-                match try_signature q with
-                | Some (Ok qsig) when compatible leader_sig qsig ->
-                  Hashtbl.replace taken q.seq ();
-                  group := (q, qsig) :: !group
-                | _ -> ())
-            items;
-          serve_sweep_group t ~verb:p.req.P.verb (List.rev !group) emit
-      end)
-    items;
-  List.sort (fun (a, _) (b, _) -> compare a b) !results |> List.map snd
+  List.concat_map
+    (fun verb ->
+      match entry verb with
+      | Answer _ -> []
+      | Queued jobs ->
+        jobs t (List.filter (fun (p : pending) -> p.req.P.verb = verb) items))
+    P.verbs
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.concat_map (fun (_, serve) -> serve ())
+  |> List.sort (fun ((a : pending), _) ((b : pending), _) ->
+         Int.compare a.seq b.seq)
+  |> List.map (fun ((p : pending), reply) -> (p.client, reply))
 
 (* Replay the warmup journal into the plan cache (most recent
    [max_decks] unique decks), then compact the file to exactly those
@@ -1360,18 +1291,20 @@ let warm_from_journal t =
   match t.journal with
   | None -> (0, 0)
   | Some j ->
-    let entries = Journal.replay ~path:(Journal.path j) in
-    let key_of (e : Journal.entry) =
-      Plan_cache.deck_key ~text:e.Journal.text ~overrides:e.Journal.overrides
+    let decks =
+      List.map
+        (fun (e : Journal.entry) ->
+          (e, deck_of_text (P.Inline e.Journal.text) e.Journal.text
+                e.Journal.overrides))
+        (Journal.replay ~path:(Journal.path j))
     in
     let seen = Hashtbl.create 16 in
     let unique =
-      List.rev entries
-      |> List.filter (fun e ->
-             let key = key_of e in
-             if Hashtbl.mem seen key then false
+      List.rev decks
+      |> List.filter (fun (_, d) ->
+             if Hashtbl.mem seen d.key then false
              else begin
-               Hashtbl.replace seen key ();
+               Hashtbl.replace seen d.key ();
                true
              end)
       |> List.filteri (fun i _ -> i < t.config.max_decks)
@@ -1380,18 +1313,15 @@ let warm_from_journal t =
     t.journaling <- false;
     let ok = ref 0 and failed = ref 0 in
     List.iter
-      (fun (e : Journal.entry) ->
-        match
-          compiled_of t ~src:(P.Inline e.Journal.text) ~text:e.Journal.text
-            ~overrides:e.Journal.overrides
-        with
+      (fun (_, d) ->
+        match compiled_of t d with
         | _ -> incr ok
         | exception _ -> incr failed)
       unique;
     t.journaling <- true;
-    List.iter (fun e -> Hashtbl.replace t.journaled (key_of e) ()) unique;
+    List.iter (fun (_, d) -> Hashtbl.replace t.journaled d.key ()) unique;
     with_lock t (fun () -> t.journal_replayed <- !ok);
-    if unique <> [] then Journal.rewrite j unique;
+    if unique <> [] then Journal.rewrite j (List.map fst unique);
     Log.info (fun m ->
         m "warmup journal: %d plan(s) recompiled, %d failed" !ok !failed);
     (!ok, !failed)

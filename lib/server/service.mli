@@ -1,5 +1,5 @@
 (** The serving core: a bounded request queue with per-client quotas,
-    a coalescing scheduler, and the verb handlers — everything
+    a coalescing scheduler, and the verb table — everything
     [snoise serve] does except the sockets.
 
     Keeping the socket layer out makes the whole protocol unit-testable
@@ -8,6 +8,16 @@
     returns the reply objects in submission order, and the bench
     drives sustained workloads through the same two calls the real
     server uses.
+
+    {b One verb table.}  Each {!Protocol.verb} has one entry: either
+    answered at {!submit} ([ping], [stats], [health], [shutdown]) or
+    queued, with a decode that validates the request before any engine
+    work, an optional coalescing key, and a run over a group of
+    decoded requests.  {!drain} decodes each queued request once,
+    groups by key, and serves every group through one dispatch — the
+    single place holding the exception guard, the deadline and the
+    timing and batching counters.  A request that cannot coalesce is a
+    group of one.
 
     {b Batching.}  {!drain} coalesces compatible queued requests —
     same compiled plan (deck digest + overrides) and same node/output
@@ -43,8 +53,8 @@ type config = {
           (default 100_000) — a deliberate service limit so one
           request cannot wedge the daemon *)
   max_flows : int;
-      (** LRU bound on the per-[(vtune, grid)] VCO flow cache
-          (default 8) *)
+      (** LRU bound on the plan cache's per-[(vtune, grid)] VCO flow
+          layer (default 8) *)
   mem_watermark_mb : int;
       (** memory watermark in MB (default 4096): above it the service
           sheds LRU plans/flows, compacts, and answers [busy] with

@@ -970,6 +970,127 @@ let test_tcp_auth_session () =
       Unix.close ux)
 
 (* ------------------------------------------------------------------ *)
+(* request validation before any engine work *)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let error_message reply = str (member "message" (member "error" reply))
+
+(* the point count is compared as a float: 1e20 points must not wrap
+   to a one-point run *)
+let test_tran_point_limit () =
+  let svc = Sv.create () in
+  List.iter
+    (fun (tstop, dt) ->
+      let reply =
+        handle1 svc
+          (request ~verb:"tran" ~deck
+             ~params:(Printf.sprintf {|{"tstop": %s, "dt": %s}|} tstop dt)
+             ())
+      in
+      Alcotest.(check string) ("refused " ^ tstop ^ "/" ^ dt) "bad-request"
+        (error_code reply);
+      Alcotest.(check bool) "names the service limit" true
+        (contains (error_message reply) "service limit"))
+    [ ("1e10", "1e-10"); ("1e5", "1e-14") ]
+
+(* a non-positive f_noise is refused before the VCO flow is built *)
+let test_spur_validates_first () =
+  let svc = Sv.create () in
+  List.iter
+    (fun f ->
+      let reply =
+        handle1 svc
+          (request ~verb:"spur" ~params:(Printf.sprintf {|{"f_noise": %s}|} f) ())
+      in
+      Alcotest.(check string) ("f_noise " ^ f) "bad-request" (error_code reply);
+      Alcotest.(check bool) "names the param" true
+        (contains (error_message reply) "f_noise"))
+    [ "0"; "-1e6" ];
+  let pc = member "plan_cache" (Sv.stats_json svc) in
+  Alcotest.(check string) "no flow miss" "0"
+    (J.to_string (member "flow_misses" pc));
+  Alcotest.(check string) "no flow built" "0" (J.to_string (member "flows" pc))
+
+(* ------------------------------------------------------------------ *)
+(* isolation: a request's answer does not depend on what it was queued
+   with *)
+
+(* kind, deck, override variant, deadline, flag *)
+type iso_request = int * int * int * bool * bool
+
+let iso_line id ((kind, di, ov, dl, flag) : iso_request) =
+  let text = [| deck; deck_edited; ladder_deck |].(di) in
+  let overrides =
+    match (ov, di) with
+    | 0, _ -> ""
+    | 1, 2 -> {|, "overrides": {"reduce_order": 4}|}
+    | _, 2 -> {|, "overrides": {"reduce_tol": 1e-8}|}
+    | 1, _ -> {|, "overrides": {"r2": 1500}|}
+    | _ -> {|, "overrides": {"r1": 2500}|}
+  in
+  let verb, params =
+    match kind with
+    | 0 ->
+      ( "ac",
+        if flag then {|{"freqs": [1e6, 3e6], "nodes": ["out"]}|}
+        else {|{"freqs": [2e6, 1e6], "nodes": ["out"]}|} )
+    | 1 ->
+      ( "noise",
+        Printf.sprintf
+          {|{"output": "out", "freqs": [1e5, 1e6], "contributions": %b}|} flag )
+    | 2 -> ("op", if flag then {|{"nodes": ["out"]}|} else "{}")
+    | 3 ->
+      ( "lint",
+        if flag then {|{"strict": true, "disable": ["dangling-node"]}|}
+        else {|{"ignore": ["extreme-value"]}|} )
+    | _ -> ("verify", "{}")
+  in
+  Printf.sprintf {|{"id": %d, "verb": %S, "deck": %s, "params": %s%s%s}|} id
+    verb (J.to_string (J.Str text)) params overrides
+    (if dl then {|, "deadline_ms": 60000|} else "")
+
+let answer reply =
+  J.to_string
+    (J.Obj
+       (List.filter
+          (fun (k, _) -> List.mem k [ "type"; "id"; "result"; "error" ])
+          (match reply with J.Obj m -> m | _ -> [])))
+
+(* Random interleavings of 2-6 requests, drained once, each answered
+   byte-for-byte as the same request served alone on a fresh service. *)
+let prop_isolation =
+  let request =
+    QCheck.Gen.(
+      tup5 (int_bound 4) (int_bound 2) (int_bound 2) bool bool)
+  in
+  QCheck.Test.make ~count:50 ~name:"queued replies equal lone replies"
+    QCheck.(
+      make
+        ~print:(fun rs -> String.concat "\n" (List.mapi iso_line rs))
+        Gen.(list_size (int_range 2 6) request))
+    (fun rs ->
+      let lines = List.mapi iso_line rs in
+      let svc = Sv.create () in
+      List.iteri
+        (fun i line ->
+          match Sv.submit svc ~client:(1 + (i mod 3)) line with
+          | `Queued -> ()
+          | _ -> Alcotest.fail "expected queued")
+        lines;
+      let queued = List.map snd (Sv.drain svc) in
+      List.length queued = List.length lines
+      && List.for_all2
+           (fun line reply ->
+             String.equal (answer reply) (answer (handle1 (Sv.create ()) line)))
+           lines queued)
+
+(* ------------------------------------------------------------------ *)
 (* wire bytes of every verb and refusal
 
    Each line of golden/serve_replies.jsonl holds a request, the reply a
@@ -1101,6 +1222,11 @@ let suites =
         Alcotest.test_case "drain sheds dead clients" `Quick
           test_drain_sheds_dead_clients;
         Alcotest.test_case "golden replies" `Quick test_golden_replies;
+        QCheck_alcotest.to_alcotest prop_isolation;
+        Alcotest.test_case "tran point limit in float" `Quick
+          test_tran_point_limit;
+        Alcotest.test_case "spur validates before building" `Quick
+          test_spur_validates_first;
       ] );
     ( "server-socket",
       [
