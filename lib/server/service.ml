@@ -88,9 +88,8 @@ let create ?(config = default_config) () =
     svc_max_ms = 0.0;
     svc_last_ms = 0.0;
     restarts =
-      (match Sys.getenv_opt "SNOISE_RESTARTS" with
-      | Some s -> ( match int_of_string_opt s with Some n -> n | None -> 0)
-      | None -> 0);
+      Option.value ~default:0
+        (Option.bind (Sys.getenv_opt "SNOISE_RESTARTS") int_of_string_opt);
     deadline_exceeded = 0;
     disconnected = 0;
     shed_events = 0;
@@ -222,24 +221,35 @@ let opt_str_list m k =
     (List.assoc_opt k m)
 
 (* ["freqs": [...]] or a generated span ["fstart"/"fstop"/"points"
-   with log (default) or lin "spacing"] *)
+   with log (default) or lin "spacing"].  Checked here, not by the
+   engine: one bad frequency in a coalesced group would otherwise fail
+   every member of it. *)
 let freqs_of_params m =
-  match List.assoc_opt "freqs" m with
-  | Some v -> (
-    match J.float_list v with
-    | Some (_ :: _ as l) -> Array.of_list l
-    | Some [] -> raise (Bad "\"freqs\" must not be empty")
-    | None -> raise (Bad "\"freqs\" must be an array of numbers"))
-  | None ->
-    let fstart = required "fstart" (opt_float m "fstart")
-    and fstop = required "fstop" (opt_float m "fstop") in
-    let points = Option.value (opt_int m "points") ~default:50 in
-    if points < 1 then raise (Bad "\"points\" must be >= 1");
-    (match Option.value (opt_str m "spacing") ~default:"log" with
-    | "log" -> N.Sweep.logspace fstart fstop points
-    | "lin" -> N.Sweep.linspace fstart fstop points
-    | other ->
-      raise (Bad (Printf.sprintf "unknown spacing %S (log or lin)" other)))
+  let freqs =
+    match List.assoc_opt "freqs" m with
+    | Some v -> (
+      match J.float_list v with
+      | Some (_ :: _ as l) -> Array.of_list l
+      | Some [] -> raise (Bad "\"freqs\" must not be empty")
+      | None -> raise (Bad "\"freqs\" must be an array of numbers"))
+    | None -> (
+      let fstart = required "fstart" (opt_float m "fstart")
+      and fstop = required "fstop" (opt_float m "fstop") in
+      let points = Option.value (opt_int m "points") ~default:50 in
+      if points < 1 then raise (Bad "\"points\" must be >= 1");
+      match Option.value (opt_str m "spacing") ~default:"log" with
+      | "log" -> N.Sweep.logspace fstart fstop points
+      | "lin" -> N.Sweep.linspace fstart fstop points
+      | other ->
+        raise (Bad (Printf.sprintf "unknown spacing %S (log or lin)" other)))
+  in
+  Array.iter
+    (fun f ->
+      if not (Float.is_finite f && f >= 0.0) then
+        raise
+          (Bad (Printf.sprintf "frequency %g is not a finite value >= 0" f)))
+    freqs;
+  freqs
 
 (* ------------------------------------------------------------------ *)
 (* deck resolution and compilation *)
@@ -606,16 +616,12 @@ let run_tran t (d, tstop, dt, options) =
          (fun k name -> (name, float_arr ds.E.Tran.data.(k)))
          ds.E.Tran.names)
   in
-  let truncated =
-    match ds.E.Tran.truncated with
-    | None -> J.Null
-    | Some d -> E.Diag.to_json d
-  in
   ( J.Obj
       [
         ("times", float_arr ds.E.Tran.times);
         ("waves", J.Obj waves);
-        ("truncated", truncated);
+        ( "truncated",
+          Option.fold ~none:J.Null ~some:E.Diag.to_json ds.E.Tran.truncated );
       ],
     plan_note,
     P.Not_applicable )
@@ -910,9 +916,8 @@ let stats_json t =
                 (Sn_substrate.Cache.origin_name tile.Sn_substrate.Cache.origin)
             );
             ( "dir",
-              match tile.Sn_substrate.Cache.dir with
-              | Some d -> J.Str d
-              | None -> J.Null );
+              Option.fold ~none:J.Null ~some:(fun d -> J.Str d)
+                tile.Sn_substrate.Cache.dir );
             ("lookups", num tc.Sn_substrate.Cache.lookups);
             ("hits", num tc.Sn_substrate.Cache.hits);
             ("rejected", num tc.Sn_substrate.Cache.rejected);
@@ -1053,10 +1058,9 @@ let run_with_deadline t ~arrived ~deadline_ms f =
       raise e)
 
 (* One verb's table entry for queued work.  Requests whose [coalesce]
-   keys are
-   equal (and whose deadlines are equal: a group cancels as a unit)
-   share one group; a verb without a key runs every request as a group
-   of one. *)
+   keys are equal (and whose deadlines are equal: a group cancels as a
+   unit) share one group; a verb without a key runs every request as a
+   group of one. *)
 type 'a spec = {
   decode : t -> P.request -> 'a;
   coalesce : ('a -> string list) option;

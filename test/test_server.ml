@@ -999,6 +999,27 @@ let test_tran_point_limit () =
         (contains (error_message reply) "service limit"))
     [ ("1e10", "1e-10"); ("1e5", "1e-14") ]
 
+(* a request with a bad frequency is refused on its own: it never
+   joins, and so never fails, a coalesced group *)
+let test_bad_member_isolated () =
+  let svc = Sv.create () in
+  List.iter
+    (fun (id, freqs) ->
+      match
+        Sv.submit svc ~client:id
+          (request ~id ~verb:"ac" ~deck
+             ~params:(Printf.sprintf {|{"freqs": %s, "nodes": ["out"]}|} freqs)
+             ())
+      with
+      | `Queued -> ()
+      | _ -> Alcotest.fail "expected queued")
+    [ (1, "[1e6]"); (2, "[-1e6]") ];
+  match List.map snd (Sv.drain svc) with
+  | [ good; bad ] ->
+    Alcotest.(check string) "valid member served" "response" (msg_type good);
+    Alcotest.(check string) "bad member refused" "bad-request" (error_code bad)
+  | rs -> Alcotest.failf "expected 2 replies, got %d" (List.length rs)
+
 (* a non-positive f_noise is refused before the VCO flow is built *)
 let test_spur_validates_first () =
   let svc = Sv.create () in
@@ -1227,6 +1248,8 @@ let suites =
           test_tran_point_limit;
         Alcotest.test_case "spur validates before building" `Quick
           test_spur_validates_first;
+        Alcotest.test_case "bad frequency does not poison its group" `Quick
+          test_bad_member_isolated;
       ] );
     ( "server-socket",
       [
