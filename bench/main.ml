@@ -1012,172 +1012,11 @@ let part10 ~small =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Part 2: Bechamel microbenchmarks, one per table / figure *)
-
-open Bechamel
-open Toolkit
-
-let bench_tests () =
-  (* shared fixtures built once *)
-  let nmos_flow = Flow.build_nmos Sn_testchip.Nmos_structure.default in
-  let vco_flow = Flow.build_vco Sn_testchip.Vco_chip.default ~vtune:0.0 in
-  let f_noise = E.default_f_noise in
-  let h = Flow.vco_transfers vco_flow ~f_noise in
-  let osc = Flow.vco_oscillator vco_flow in
-  let small_grid =
-    { Sn_substrate.Grid.nx = 24; ny = 24; z_per_layer = Some [ 1; 2; 2; 1 ] }
-  in
-  let layout = Sn_testchip.Nmos_structure.layout Sn_testchip.Nmos_structure.default in
-  let merged = Flow.vco_merged vco_flow in
-  let vco_dc = Eng.Dc.solve merged in
-  (* the transient hot path: a linear RC ladder, sized past the
-     assembler's dense/sparse crossover so the CSR refill +
-     pattern-reusing LU is what gets measured *)
-  let tran_ladder =
-    let node k = if k = 0 then "0" else Printf.sprintf "n%d" k in
-    Sn_circuit.Netlist.create ~title:"bench RC ladder"
-      (El.Vsource
-         { name = "vin"; np = "drive"; nn = "0";
-           wave = Sn_circuit.Waveform.sin_wave ~amplitude:1.0 ~freq:10.0e6 ();
-           ac_mag = 1.0 }
-      :: El.Resistor { name = "rin"; n1 = "drive"; n2 = node 1; ohms = 50.0 }
-      :: List.concat
-           (List.init 80 (fun k ->
-                let k = k + 1 in
-                [ El.Resistor
-                    { name = Printf.sprintf "r%d" k; n1 = node k;
-                      n2 = node (k + 1); ohms = 100.0 +. float_of_int k };
-                  El.Capacitor
-                    { name = Printf.sprintf "c%d" k; n1 = node k; n2 = "0";
-                      farads = 1.0e-12 } ])))
-  in
-  (* direct elimination: a 48x48 surface mesh with four port regions —
-     the network is rebuilt per run because elimination consumes it *)
-  let elim_n = 48 in
-  let elim_edges, elim_ports =
-    let n = elim_n in
-    let idx x y = (y * n) + x in
-    let edges = ref [] in
-    for y = 0 to n - 1 do
-      for x = 0 to n - 1 do
-        if x + 1 < n then
-          edges :=
-            (idx x y, idx (x + 1) y, 1.0e-3 *. (1.0 +. (0.1 *. float_of_int y)))
-            :: !edges;
-        if y + 1 < n then
-          edges :=
-            (idx x y, idx x (y + 1), 1.3e-3 *. (1.0 +. (0.05 *. float_of_int x)))
-            :: !edges
-      done
-    done;
-    (!edges, [| idx 3 3; idx (n - 4) 3; idx 3 (n - 4); idx (n - 4) (n - 4) |])
-  in
-  [
-    Test.make ~name:"fig3_nmos_transfer"
-      (Staged.stage (fun () ->
-           ignore (Flow.nmos_transfer nmos_flow ~vgs:0.8 ~vds:0.8 ~freq:5.0e6)));
-    Test.make ~name:"sec3_division_crossover"
-      (Staged.stage (fun () -> ignore (Flow.nmos_divider nmos_flow)));
-    Test.make ~name:"fig7_output_spectrum"
-      (Staged.stage (fun () ->
-           let beta, m_am =
-             Sn_rf.Impact.total_modulation osc ~h:(h 10.0e6) ~a_noise:0.178
-               ~f_noise:10.0e6
-           in
-           let samples =
-             Sn_rf.Behavioral.synthesize ~carrier_freq:64.0e6
-               ~amplitude:osc.Sn_rf.Impact.amplitude
-               ~tones:[ { Sn_rf.Behavioral.f_noise = 10.0e6; beta; m_am } ]
-               ~fs:320.0e6 ~n:16384
-           in
-           ignore
-             (Sn_rf.Behavioral.measured_sideband_dbm samples ~fs:320.0e6
-                ~carrier_freq:64.0e6 ~f_noise:10.0e6 `Upper)));
-    Test.make ~name:"fig8_spur_vs_fnoise"
-      (Staged.stage (fun () ->
-           Array.iter
-             (fun fn ->
-               ignore
-                 (Flow.vco_spur vco_flow ~h ~p_noise_dbm:(-5.0) ~f_noise:fn))
-             f_noise));
-    Test.make ~name:"fig9_contributions"
-      (Staged.stage (fun () ->
-           ignore (Flow.vco_spur vco_flow ~h ~p_noise_dbm:(-5.0) ~f_noise:10.0e6)));
-    Test.make ~name:"fig10_ground_sizing"
-      (Staged.stage (fun () ->
-           ignore (Flow.vco_ground_wire_resistance vco_flow)));
-    Test.make ~name:"vco_design_card"
-      (Staged.stage (fun () ->
-           let tank = Sn_rf.Tank.default_3ghz in
-           let bias = Sn_rf.Tank.quiet_bias ~v_tune:0.45 in
-           List.iter
-             (fun e -> ignore (Sn_rf.Tank.sensitivity tank bias e))
-             Sn_rf.Tank.
-               [ Ground; Backgate; Pmos_well; Varactor_well; Inductor_node ]));
-    Test.make ~name:"runtime_extraction_small_grid"
-      (Staged.stage (fun () ->
-           ignore
-             (Sn_substrate.Extractor.extract_from_layout ~config:small_grid
-                ~tech:Sn_tech.Tech.imec018 layout)));
-    Test.make ~name:"runtime_simulation_ac_solve"
-      (Staged.stage (fun () ->
-           ignore (Eng.Ac.solve ~dc:vco_dc merged ~freq:10.0e6)));
-    (let options =
-       { Eng.Tran.default_options with
-         Eng.Tran.ic = Eng.Tran.Uic [];
-         record = Some [ "n80" ] }
-     in
-     Test.make ~name:"tran_fixed_step"
-       (Staged.stage (fun () ->
-            ignore
-              (Eng.Tran.simulate ~options ~tstop:2.0e-6 ~dt:1.0e-8 tran_ladder))));
-    Test.make ~name:"substrate_elimination"
-      (Staged.stage (fun () ->
-           let module Elim = Sn_substrate.Elimination in
-           let net =
-             Elim.of_conductances ~n:(elim_n * elim_n) ~ports:elim_ports
-               elim_edges
-           in
-           Elim.eliminate_internal net;
-           ignore (Elim.port_conductance net)));
-  ]
-
-let part2 ~small:_ =
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~stabilize:false ()
-  in
-  let grouped = Test.make_grouped ~name:"snoise" ~fmt:"%s.%s" (bench_tests ()) in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] grouped in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let prefix = "snoise." in
-  let strip name =
-    let lp = String.length prefix in
-    if String.starts_with ~prefix name then
-      String.sub name lp (String.length name - lp)
-    else name
-  in
-  {
-    metrics =
-      Hashtbl.fold
-        (fun name result acc ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> (strip name ^ ".ns_per_run", est, "ns") :: acc
-          | _ -> acc)
-        results []
-      |> List.sort compare;
-    gates = [];
-  }
-
-(* ------------------------------------------------------------------ *)
 (* the part table and the driver *)
 
 let parts =
   [
     ("part1", "paper evaluation reproduced, with ablations", part1);
-    ("part2", "Bechamel microbenchmarks, one per table / figure", part2);
     ("part3", "domain-parallel sweep scaling", part3);
     ("part4", "robustness-layer overhead on the healthy path", part4);
     ("part5", "sparse frequency-domain engine (AC sweep + adjoint noise)", part5);

@@ -115,90 +115,104 @@ let fmt = Format.std_formatter
 let finish () = Format.pp_print_flush fmt ()
 
 (* Engine diagnostics (a lint refusal, a solve that exhausted the
-   rescue ladder) exit with code 2 — distinct from cmdliner's 1 for
-   usage errors and the lint/drc commands' 1 for "found findings". *)
-let or_diag_exit f =
-  try f ()
-  with Sn_engine.Diag.Error d ->
+   rescue ladder) and malformed input files exit with code 2 — distinct
+   from cmdliner's 1 for usage errors and the lint/drc commands' 1 for
+   "found findings".  A deck or layout that does not parse, or a deck
+   with an invalid netlist (a duplicate element name), is reported as
+   [snoise CMD: FILE[:LINE]: MESSAGE]. *)
+let or_diag_exit cmd ?file f =
+  let refuse ?line msg =
+    finish ();
+    let where =
+      match (file, line) with
+      | Some path, Some line -> Printf.sprintf "%s:%d: " path line
+      | Some path, None -> path ^ ": "
+      | None, _ -> ""
+    in
+    Format.eprintf "snoise %s: %s%s@." cmd where msg;
+    exit 2
+  in
+  try f () with
+  | Sn_engine.Diag.Error d ->
     finish ();
     Format.eprintf "snoise: %a@." Sn_engine.Diag.pp d;
     exit 2
+  | Sn_circuit.Spice.Parse_error (line, msg)
+  | Sn_layout.Layout_io.Parse_error (line, msg) ->
+    refuse ~line msg
+  | Sn_circuit.Netlist.Invalid msgs -> refuse (String.concat "; " msgs)
 
-let run_fig3 () options =
-  or_diag_exit (fun () ->
-      Snoise.Report.fig3 fmt (Snoise.Experiments.fig3 ~options ());
-      Snoise.Report.sec3 fmt (Snoise.Experiments.sec3_numbers ~options ());
-      finish ())
+(* the tone [all] runs fig7 at, and the default of fig7's --f-noise *)
+let fig7_f_noise = 10.0e6
 
-let run_fig7 () options f_noise =
-  or_diag_exit (fun () ->
-      Snoise.Report.fig7 fmt (Snoise.Experiments.fig7 ~options ~f_noise ());
-      finish ())
+(* The figure commands, one (name, doc, render) entry each, in the
+   order [all] runs them.  [render options f_noise] prints one
+   experiment's report; only fig7 reads [f_noise]. *)
+let figures =
+  let module E = Snoise.Experiments in
+  let module R = Snoise.Report in
+  [
+    ( "fig3",
+      "NMOS measurement structure transfer (paper Figure 3 / section 3)",
+      fun options _ ->
+        R.fig3 fmt (E.fig3 ~options ());
+        R.sec3 fmt (E.sec3_numbers ~options ()) );
+    ( "fig7",
+      "VCO output spectrum with a substrate tone (paper Figure 7)",
+      fun options f_noise -> R.fig7 fmt (E.fig7 ~options ~f_noise ()) );
+    ( "fig8",
+      "spur power vs noise frequency and Vtune (paper Figure 8)",
+      fun options _ -> R.fig8 fmt (E.fig8 ~options ()) );
+    ( "fig9",
+      "per-device contribution analysis (paper Figure 9)",
+      fun options _ -> R.fig9 fmt (E.fig9 ~options ()) );
+    ( "fig10",
+      "ground interconnect sizing experiment (paper Figure 10)",
+      fun options _ -> R.fig10 fmt (E.fig10 ~options ()) );
+    ( "card",
+      "VCO design card check (paper section 4)",
+      fun options _ -> R.vco_card fmt (E.vco_card ~options ()) );
+    ( "runtime",
+      "extraction / simulation wall-clock (paper section 6 note)",
+      fun options _ -> R.runtime fmt (E.runtime ~options ()) );
+    ( "aggressor",
+      "digital switching-noise spur comb (the paper's sign-off outlook)",
+      fun options _ -> R.aggressor fmt (E.aggressor_comb ~options ()) );
+  ]
 
-let run_fig8 () options =
-  or_diag_exit (fun () ->
-      Snoise.Report.fig8 fmt (Snoise.Experiments.fig8 ~options ());
-      finish ())
-
-let run_fig9 () options =
-  or_diag_exit (fun () ->
-      Snoise.Report.fig9 fmt (Snoise.Experiments.fig9 ~options ());
-      finish ())
-
-let run_fig10 () options =
-  or_diag_exit (fun () ->
-      Snoise.Report.fig10 fmt (Snoise.Experiments.fig10 ~options ());
-      finish ())
-
-let run_card () options =
-  or_diag_exit (fun () ->
-      Snoise.Report.vco_card fmt (Snoise.Experiments.vco_card ~options ());
-      finish ())
-
-let run_runtime () options =
-  or_diag_exit (fun () ->
-      Snoise.Report.runtime fmt (Snoise.Experiments.runtime ~options ());
-      finish ())
-
-let run_aggressor () options =
-  or_diag_exit (fun () ->
-      Snoise.Report.aggressor fmt
-        (Snoise.Experiments.aggressor_comb ~options ());
-      finish ())
-
-let run_all () options =
-  run_fig3 () options;
-  run_fig7 () options 10.0e6;
-  run_fig8 () options;
-  run_fig9 () options;
-  run_fig10 () options;
-  run_card () options;
-  run_runtime () options
+let run_figures cmd renders () options f_noise =
+  or_diag_exit cmd (fun () ->
+      List.iter
+        (fun render ->
+          render options f_noise;
+          finish ())
+        renders)
 
 let run_extract () path =
-  let layout = Sn_layout.Layout_io.load path in
-  let macro =
-    Sn_substrate.Extractor.extract_from_layout ~tech:Sn_tech.Tech.imec018
-      layout
-  in
-  Sn_substrate.Macromodel.pp fmt macro;
-  Format.fprintf fmt "@.";
-  List.iter
-    (fun (a, b, r) ->
-      Format.fprintf fmt "R %s %s %s@." a b
-        (Sn_numerics.Units.eng ~unit:"Ohm" r))
-    (Sn_substrate.Macromodel.to_resistors macro);
-  finish ()
+  or_diag_exit "extract" ~file:path (fun () ->
+      let layout = Sn_layout.Layout_io.load path in
+      let macro =
+        Sn_substrate.Extractor.extract_from_layout ~tech:Sn_tech.Tech.imec018
+          layout
+      in
+      Sn_substrate.Macromodel.pp fmt macro;
+      Format.fprintf fmt "@.";
+      List.iter
+        (fun (a, b, r) ->
+          Format.fprintf fmt "R %s %s %s@." a b
+            (Sn_numerics.Units.eng ~unit:"Ohm" r))
+        (Sn_substrate.Macromodel.to_resistors macro);
+      finish ())
 
 let run_netlist () options vtune =
-  or_diag_exit (fun () ->
+  or_diag_exit "netlist" (fun () ->
       let flow =
         Snoise.Flow.build_vco ~options Sn_testchip.Vco_chip.default ~vtune
       in
       print_string (Sn_circuit.Spice.to_string (Snoise.Flow.vco_merged flow)))
 
 let run_op () options vtune file =
-  or_diag_exit (fun () ->
+  or_diag_exit "op" ?file (fun () ->
       let netlist =
         match file with
         | Some path ->
@@ -215,16 +229,8 @@ let run_op () options vtune file =
       Format.fprintf fmt "%a@." Sn_engine.Dc.pp dc;
       finish ())
 
-(* --ignore CODE[=SUBJECT]: '=' as the separator because subject
-   names themselves contain ':' (backgate:m1, nwell:vdd) *)
-let parse_ignore s =
-  match String.index_opt s '=' with
-  | None -> (s, None)
-  | Some i ->
-    (String.sub s 0 i, Some (String.sub s (i + 1) (String.length s - i - 1)))
-
-let run_lint () options json strict ignores disables file =
-  or_diag_exit (fun () ->
+let run_lint () options json strict config file =
+  or_diag_exit "lint" ?file (fun () ->
       let deck, netlist =
         match file with
         | Some path -> (path, Sn_circuit.Spice.load path)
@@ -234,39 +240,21 @@ let run_lint () options json strict ignores disables file =
               (Snoise.Flow.build_vco ~options Sn_testchip.Vco_chip.default
                  ~vtune:0.45) )
       in
-      let config =
-        {
-          Sn_analysis.Analyzer.default with
-          Sn_analysis.Analyzer.disabled = disables;
-          ignores = List.map parse_ignore ignores;
-        }
-      in
       let report = Sn_analysis.Analyzer.analyze ~config netlist in
       if json then
         print_endline (J.to_string (Sn_analysis.Analyzer.to_json report))
       else Snoise.Report.lint fmt ~deck report;
       finish ();
-      let failing =
-        Sn_analysis.Analyzer.errors report <> []
-        || (strict && Sn_analysis.Analyzer.warnings report <> [])
-      in
-      if failing then exit 1)
+      if Sn_analysis.Analyzer.failing ~strict report then exit 1)
 
 (* snoise verify: the numerical pre-flight (deck mode) or certificate
    verification of a tile-cache directory (--cache).  Stricter than
    lint by design: ANY finding — warnings included — or a refused
    reduction certificate, or a bad cache entry, exits 1.  Unreadable
    input exits 2, like every diagnostic failure. *)
-
-let verify_header mode =
-  [
-    ( "schema_version",
-      J.Num (float_of_int Sn_analysis.Analyzer.schema_version) );
-    ("mode", J.Str mode);
-  ]
-
-let run_verify () options json ignores disables cache file =
-  or_diag_exit (fun () ->
+let run_verify () options json config cache file =
+  let verify_header = Sn_analysis.Analyzer.verify_header in
+  or_diag_exit "verify" ?file (fun () ->
       match (cache, file) with
       | Some _, Some _ ->
         Format.eprintf "snoise verify: give a deck or --cache, not both@.";
@@ -290,28 +278,12 @@ let run_verify () options json ignores disables cache file =
       | None, _ ->
         let deck, netlist =
           match file with
-          | Some path -> (
-            ( path,
-              try Sn_circuit.Spice.load path with
-              | Sn_circuit.Spice.Parse_error (line, msg) ->
-                Format.eprintf "snoise verify: %s:%d: %s@." path line msg;
-                exit 2
-              | Sn_circuit.Netlist.Invalid msg ->
-                Format.eprintf "snoise verify: %s: %s@." path
-                  (String.concat "; " msg);
-                exit 2 ))
+          | Some path -> (path, Sn_circuit.Spice.load path)
           | None ->
             ( "merged VCO impact model",
               Snoise.Flow.vco_merged
                 (Snoise.Flow.build_vco ~options Sn_testchip.Vco_chip.default
                    ~vtune:0.45) )
-        in
-        let config =
-          {
-            Sn_analysis.Analyzer.default with
-            Sn_analysis.Analyzer.disabled = disables;
-            ignores = List.map parse_ignore ignores;
-          }
         in
         let p =
           Snoise.Flow.preflight ~config ?reduce:options.Snoise.Flow.reduce
@@ -328,39 +300,42 @@ let run_verify () options json ignores disables cache file =
         if Snoise.Flow.preflight_failing p then exit 1)
 
 let run_drc () file =
-  let layout =
-    match file with
-    | Some path -> Sn_layout.Layout_io.load path
-    | None -> Sn_testchip.Vco_chip.layout Sn_testchip.Vco_chip.default
-  in
-  let vs = Sn_layout.Drc.check ~tech:Sn_tech.Tech.imec018 layout in
-  if vs = [] then Format.fprintf fmt "layout is DRC clean@."
-  else List.iter (fun v -> Format.fprintf fmt "%a@." Sn_layout.Drc.pp v) vs;
-  finish ();
-  if vs <> [] then exit 1
+  or_diag_exit "drc" ?file (fun () ->
+      let layout =
+        match file with
+        | Some path -> Sn_layout.Layout_io.load path
+        | None -> Sn_testchip.Vco_chip.layout Sn_testchip.Vco_chip.default
+      in
+      let vs = Sn_layout.Drc.check ~tech:Sn_tech.Tech.imec018 layout in
+      if vs = [] then Format.fprintf fmt "layout is DRC clean@."
+      else
+        List.iter (fun v -> Format.fprintf fmt "%a@." Sn_layout.Drc.pp v) vs;
+      finish ();
+      if vs <> [] then exit 1)
 
 let run_isolation () path port1 port2 =
-  let layout = Sn_layout.Layout_io.load path in
-  let macro =
-    Sn_substrate.Extractor.extract_from_layout ~tech:Sn_tech.Tech.imec018
-      layout
-  in
-  let nl =
-    Sn_circuit.Netlist.create
-      (Snoise.Merge.of_macromodel macro
-      @ [ Sn_circuit.Element.Resistor
-            { name = "rref"; n1 = port1; n2 = "0"; ohms = 1.0e12 } ])
-  in
-  let freqs = Sn_numerics.Sweep.logspace 1.0e6 1.0e9 10 in
-  let points = Sn_engine.Twoport.analyze nl ~port1 ~port2 ~freqs in
-  Format.fprintf fmt "%14s %14s@." "freq" "isolation";
-  List.iter
-    (fun (s : Sn_engine.Twoport.sparams) ->
-      Format.fprintf fmt "%14s %11.1f dB@."
-        (Sn_numerics.Units.eng ~unit:"Hz" s.Sn_engine.Twoport.freq)
-        (Sn_engine.Twoport.isolation_db s))
-    points;
-  finish ()
+  or_diag_exit "isolation" ~file:path (fun () ->
+      let layout = Sn_layout.Layout_io.load path in
+      let macro =
+        Sn_substrate.Extractor.extract_from_layout ~tech:Sn_tech.Tech.imec018
+          layout
+      in
+      let nl =
+        Sn_circuit.Netlist.create
+          (Snoise.Merge.of_macromodel macro
+          @ [ Sn_circuit.Element.Resistor
+                { name = "rref"; n1 = port1; n2 = "0"; ohms = 1.0e12 } ])
+      in
+      let freqs = Sn_numerics.Sweep.logspace 1.0e6 1.0e9 10 in
+      let points = Sn_engine.Twoport.analyze nl ~port1 ~port2 ~freqs in
+      Format.fprintf fmt "%14s %14s@." "freq" "isolation";
+      List.iter
+        (fun (s : Sn_engine.Twoport.sparams) ->
+          Format.fprintf fmt "%14s %11.1f dB@."
+            (Sn_numerics.Units.eng ~unit:"Hz" s.Sn_engine.Twoport.freq)
+            (Sn_engine.Twoport.isolation_db s))
+        points;
+      finish ())
 
 (* --- the resident service ------------------------------------------ *)
 
@@ -458,7 +433,7 @@ let run_serve () socket tcp auth_token supervise max_queue quota
       server
   in
   if supervise then supervise_loop worker
-  else or_diag_exit (fun () -> worker ())
+  else or_diag_exit "serve" worker
 
 (* one-shot JSONL client: send request lines (positional or stdin),
    print each reply line, exit 1 when any reply is an error *)
@@ -536,7 +511,7 @@ let socket_arg =
 let f_noise_arg =
   Arg.(
     value
-    & opt float 10.0e6
+    & opt float fig7_f_noise
     & info [ "f-noise" ] ~docv:"HZ" ~doc:"Substrate tone frequency in Hz.")
 
 let vtune_arg =
@@ -551,29 +526,50 @@ let layout_arg =
     & pos 0 (some file) None
     & info [] ~docv:"LAYOUT" ~doc:"Layout file (text format).")
 
+(* --ignore / --disable of lint and verify, decoded into the analyzer
+   config; only the --ignore doc differs between the two *)
+let analyzer_config ~ignore_doc =
+  Term.(
+    const (fun ignore disable ->
+        Sn_analysis.Analyzer.config_of_flags ~disable ~ignore)
+    $ Arg.(
+        value
+        & opt_all string []
+        & info [ "ignore" ] ~docv:"CODE[=SUBJECT]" ~doc:ignore_doc)
+    $ Arg.(
+        value
+        & opt_all string []
+        & info [ "disable" ] ~docv:"CODE"
+            ~doc:"Do not run rule $(docv) at all.  Repeatable."))
+
 let cmd name doc term =
   Cmd.v (Cmd.info name ~doc) term
 
+(* each figure is a command; fig7 alone takes --f-noise, and [all]
+   runs every figure but the aggressor comb (the paper's outlook, not
+   one of its figures) with fig7 at its default tone *)
+let figure_cmds =
+  let figure_cmd name doc renders f_noise =
+    let run = run_figures name renders in
+    cmd name doc Term.(const run $ process $ flow $ f_noise)
+  in
+  List.map
+    (fun (name, doc, render) ->
+      figure_cmd name doc [ render ]
+        (if name = "fig7" then f_noise_arg else Term.const fig7_f_noise))
+    figures
+  @ [
+      figure_cmd "all" "run every experiment"
+        (List.filter_map
+           (fun (name, _, render) ->
+             if name = "aggressor" then None else Some render)
+           figures)
+        (Term.const fig7_f_noise);
+    ]
+
 let cmds =
-  [
-    cmd "fig3" "NMOS measurement structure transfer (paper Figure 3 / section 3)"
-      Term.(const run_fig3 $ process $ flow);
-    cmd "fig7" "VCO output spectrum with a substrate tone (paper Figure 7)"
-      Term.(const run_fig7 $ process $ flow $ f_noise_arg);
-    cmd "fig8" "spur power vs noise frequency and Vtune (paper Figure 8)"
-      Term.(const run_fig8 $ process $ flow);
-    cmd "fig9" "per-device contribution analysis (paper Figure 9)"
-      Term.(const run_fig9 $ process $ flow);
-    cmd "fig10" "ground interconnect sizing experiment (paper Figure 10)"
-      Term.(const run_fig10 $ process $ flow);
-    cmd "card" "VCO design card check (paper section 4)"
-      Term.(const run_card $ process $ flow);
-    cmd "runtime" "extraction / simulation wall-clock (paper section 6 note)"
-      Term.(const run_runtime $ process $ flow);
-    cmd "aggressor"
-      "digital switching-noise spur comb (the paper's sign-off outlook)"
-      Term.(const run_aggressor $ process $ flow);
-    cmd "all" "run every experiment" Term.(const run_all $ process $ flow);
+  figure_cmds
+  @ [
     cmd "extract" "extract the substrate macromodel of a layout file"
       Term.(const run_extract $ process $ layout_arg);
     cmd "netlist" "print the merged VCO impact model as a SPICE deck"
@@ -734,20 +730,11 @@ let cmds =
             value & flag
             & info [ "strict" ]
                 ~doc:"Exit 1 on warnings too, not only on errors.")
-        $ Arg.(
-            value
-            & opt_all string []
-            & info [ "ignore" ] ~docv:"CODE[=SUBJECT]"
-                ~doc:
-                  "Suppress diagnostics of rule $(docv); with \
-                   $(b,=SUBJECT), only on that element/node/port.  \
-                   Repeatable.  Equivalent to an in-deck \
-                   $(b,*%snoise ignore) pragma.")
-        $ Arg.(
-            value
-            & opt_all string []
-            & info [ "disable" ] ~docv:"CODE"
-                ~doc:"Do not run rule $(docv) at all.  Repeatable.")
+        $ analyzer_config
+            ~ignore_doc:
+              "Suppress diagnostics of rule $(docv); with $(b,=SUBJECT), \
+               only on that element/node/port.  Repeatable.  Equivalent \
+               to an in-deck $(b,*%snoise ignore) pragma."
         $ Arg.(
             value
             & pos 0 (some file) None
@@ -764,18 +751,10 @@ let cmds =
                   "Emit the result as a JSON object on stdout \
                    (carries the same $(b,schema_version) as \
                    $(b,snoise lint --json)).")
-        $ Arg.(
-            value
-            & opt_all string []
-            & info [ "ignore" ] ~docv:"CODE[=SUBJECT]"
-                ~doc:
-                  "Suppress diagnostics of rule $(docv), as in \
-                   $(b,snoise lint).  Repeatable.")
-        $ Arg.(
-            value
-            & opt_all string []
-            & info [ "disable" ] ~docv:"CODE"
-                ~doc:"Do not run rule $(docv) at all.  Repeatable.")
+        $ analyzer_config
+            ~ignore_doc:
+              "Suppress diagnostics of rule $(docv), as in $(b,snoise \
+               lint).  Repeatable."
         $ Arg.(
             value
             & opt (some string) None

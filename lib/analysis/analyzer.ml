@@ -8,6 +8,17 @@ type config = {
 
 let default = { disabled = []; ignores = []; use_pragmas = true }
 
+(* CODE[=SUBJECT]: '=' as the separator because subject names
+   themselves contain ':' (backgate:m1, nwell:vdd) *)
+let parse_ignore s =
+  match String.index_opt s '=' with
+  | None -> (s, None)
+  | Some i ->
+    (String.sub s 0 i, Some (String.sub s (i + 1) (String.length s - i - 1)))
+
+let config_of_flags ~disable ~ignore =
+  { default with disabled = disable; ignores = List.map parse_ignore ignore }
+
 type report = {
   diagnostics : Rule.diagnostic list;
   suppressed : int;
@@ -67,6 +78,8 @@ let warnings r =
     (fun (d : Rule.diagnostic) -> d.Rule.severity = Rule.Warning)
     r.diagnostics
 
+let failing ~strict r = errors r <> [] || (strict && warnings r <> [])
+
 (* Version of the JSON report shape itself, shared by [snoise lint
    --json] and [snoise verify --json].  Bump when fields are added,
    renamed or change meaning, so downstream parsers can gate on it:
@@ -87,3 +100,10 @@ let to_json r =
       ("suppressed", num r.suppressed);
       ("diagnostics", J.Arr (List.map Rule.diagnostic_to_json r.diagnostics));
     ]
+
+let verify_header mode =
+  let module J = Sn_json.Json in
+  [
+    ("schema_version", J.Num (float_of_int schema_version));
+    ("mode", J.Str mode);
+  ]

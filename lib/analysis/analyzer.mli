@@ -18,6 +18,13 @@ type config = {
 val default : config
 (** Everything enabled, no suppressions, pragmas honoured. *)
 
+val config_of_flags : disable:string list -> ignore:string list -> config
+(** {!default} with the [--disable CODE] and [--ignore CODE[=SUBJECT]]
+    flags of [snoise lint] / [snoise verify] (and the same-named params
+    of the service's [lint] verb) applied.  The subject separator is
+    ['='] because subject names themselves contain [':']
+    ([backgate:m1], [nwell:vdd]). *)
+
 type report = {
   diagnostics : Rule.diagnostic list;
       (** deduplicated and sorted with {!Rule.compare_diagnostic}:
@@ -37,6 +44,10 @@ val analyze : ?config:config -> Sn_circuit.Netlist.t -> report
 val errors : report -> Rule.diagnostic list
 val warnings : report -> Rule.diagnostic list
 
+val failing : strict:bool -> report -> bool
+(** The lint verdict: any error, or with [strict] any warning too —
+    [snoise lint]'s exit 1 and the service's ["failing"] member. *)
+
 val schema_version : int
 (** Version of the JSON report shape emitted by {!to_json} (and by
     [snoise verify --json], which shares it).  Bumped when fields are
@@ -47,3 +58,9 @@ val to_json : report -> Sn_json.Json.t
     [{"tool", "version", "schema_version", "errors", "warnings",
     "suppressed", "diagnostics": [...]}] with each diagnostic rendered
     by {!Rule.diagnostic_to_json}. *)
+
+val verify_header : string -> (string * Sn_json.Json.t) list
+(** [verify_header mode] is the [schema_version] and [mode] members
+    that open every verify JSON object ([snoise verify --json] and the
+    service's [verify] verb); [mode] is ["deck"], ["cache"] or
+    ["plans"]. *)

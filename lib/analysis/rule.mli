@@ -22,10 +22,6 @@ type subject =
 val subject_name : subject -> string
 (** The bare name; [""] for {!Deck}. *)
 
-val subject_kind : subject -> string
-(** ["element"], ["node"], ["port"] or ["deck"] — the JSON
-    discriminator. *)
-
 type diagnostic = {
   severity : severity;
   code : string;  (** the rule that fired *)
@@ -66,8 +62,6 @@ type t = {
   summary : string;  (** one-line description (registry listing, docs) *)
   check : context -> diagnostic list;
 }
-
-val pp_severity : Format.formatter -> severity -> unit
 
 val pp_diagnostic : Format.formatter -> diagnostic -> unit
 (** [error [code] @ file:line: message (subject)] — the human text

@@ -58,15 +58,10 @@ val codes : string list
     them.  A contract test ([test_analysis.ml]) asserts the merge
     layer actually uses them. *)
 
-val substrate_prefixes : string list
-(** [["rsub_"; "cwell_"]] — macromodel conductances / well caps. *)
-
 val probe_port_prefix : string
 (** ["backgate:"] — observation-only ports, exempt from binding
     rules. *)
 
-val well_port_prefix : string
-(** ["nwell:"] — well ports, tied through their junction cap. *)
-
 val is_substrate_element : string -> bool
-(** Whether an element name carries a {!substrate_prefixes} prefix. *)
+(** Whether an element name carries a substrate-parasitic prefix:
+    [rsub_] (macromodel conductances) or [cwell_] (well caps). *)

@@ -25,17 +25,6 @@ val maximum_matching : Sn_engine.Stamp_plan.pattern -> matching
     in ascending index so the result (and therefore every reported
     unmatched unknown) is deterministic. *)
 
-val unmatched_columns : matching -> int list
-(** Columns no maximum-matching augmentation could cover, ascending. *)
-
-val alternating_columns :
-  Sn_engine.Stamp_plan.pattern -> matching -> int -> int list
-(** [alternating_columns pat m c] is the set of columns reachable from
-    unmatched column [c] by alternating (non-matching / matching)
-    paths — the Dulmage–Mendelsohn underdetermined block containing
-    [c].  Any of these unknowns may surface as the solver's singular
-    pivot, so diagnostics report the whole dependent group. *)
-
 (** One structural rank deficiency of the compiled MNA system. *)
 type deficiency = {
   analyses : string;  (** ["dc"], ["ac"] or ["dc and ac"] *)

@@ -75,10 +75,6 @@ type reduction_verdict =
       (** reduction produced an indefinite pencil —
           {!Sn_numerics.Passivity.certify} declined to sign it *)
 
-val reduction_verdict_name : reduction_verdict -> string
-(** Stable kebab-case name for JSON output: ["not-reduced"],
-    ["certified"], ["refused"]. *)
-
 type preflight = {
   pf_report : Sn_analysis.Analyzer.report;
   pf_spans : Sn_analysis.Numeric.span list;
@@ -178,10 +174,6 @@ val nmos_divider : nmos_flow -> float
 (** SUB -> back-gate voltage division with the rings grounded through
     their extracted interconnect (the paper's 1/652 figure), evaluated
     at 1 MHz where the structure is purely resistive. *)
-
-val nmos_merged : nmos_flow -> vgs:float -> vds:float -> Sn_circuit.Netlist.t
-(** Merged impact model (substrate + interconnect + devices linearized
-    at the given bias), the netlist the AC engine simulates. *)
 
 (** One bias point of the Fig. 4/5 substrate-to-drain transfer
     characterization. *)

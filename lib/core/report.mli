@@ -29,11 +29,6 @@ val runtime : Format.formatter -> Experiments.runtime -> unit
 val aggressor : Format.formatter -> Experiments.aggressor_comb -> unit
 (** Digital-aggressor spur comb (line table and total power). *)
 
-val spectrum_ascii :
-  ?width:int -> ?height:int -> Format.formatter -> (float * float) list -> unit
-(** [spectrum_ascii fmt points] renders (frequency-offset, dBm) points
-    as an ASCII spectrum plot — the Figure 7 panel. *)
-
 val lint :
   Format.formatter -> deck:string -> Sn_analysis.Analyzer.report -> unit
 (** Boxed lint report for one deck: one {!Sn_analysis.Rule.pp_diagnostic}

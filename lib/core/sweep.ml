@@ -19,5 +19,3 @@ let grid ?pool f xs ys =
   let cells = List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs in
   map_points ?pool (fun (x, y) -> (x, y, f x y)) cells
 
-let corners ?pool f cs = map_points ?pool f cs
-

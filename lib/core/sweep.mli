@@ -46,10 +46,3 @@ val grid :
     flattened row-major ([xs] outer, [ys] inner) so every grid cell is
     an independent pool task.  Returns [(x, y, f x y)] triples in
     row-major order. *)
-
-val corners :
-  ?pool:Sn_engine.Pool.t -> ('c -> 'r) -> 'c list -> 'r list
-(** [corners f cs] runs one independent flow evaluation per process
-    corner (or any other scenario list) in parallel — {!map_points}
-    under a name that reads like the sign-off loop it implements. *)
-

@@ -12,4 +12,3 @@ type t = {
 let make ~name ?(instances = []) shapes = { name; shapes; instances }
 let add_shape s c = { c with shapes = s :: c.shapes }
 let add_instance i c = { c with instances = i :: c.instances }
-let shape_count c = List.length c.shapes

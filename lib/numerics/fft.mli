@@ -9,11 +9,6 @@
     between calls).  {!fft} and {!ifft} only convert at the [Complex.t]
     boundary; {!amplitude_spectrum} uses the kernel directly. *)
 
-val is_power_of_two : int -> bool
-
-val next_power_of_two : int -> int
-(** [next_power_of_two n] is the smallest power of two [>= max 1 n]. *)
-
 val fft : Complex.t array -> Complex.t array
 (** [fft x] is the forward DFT of [x].
     Raises [Invalid_argument] when the length is not a power of two. *)
@@ -23,10 +18,6 @@ val ifft : Complex.t array -> Complex.t array
 
 val hann : int -> float array
 (** [hann n] is the Hann window of length [n]. *)
-
-val coherent_gain : float array -> float
-(** [coherent_gain w] is the mean of the window [w] — the amplitude
-    correction factor for windowed tone measurements. *)
 
 type spectrum = {
   frequencies : float array; (** bin centers, Hz, DC .. fs/2 *)

@@ -37,12 +37,6 @@ let interp1 xs ys x =
     ys.(!lo) +. (t *. (ys.(!hi) -. ys.(!lo)))
   end
 
-let argmax a =
-  if Array.length a = 0 then invalid_arg "Sweep.argmax: empty array";
-  let best = ref 0 in
-  Array.iteri (fun i x -> if x > a.(!best) then best := i) a;
-  !best
-
 let fold_pairs f init xs ys =
   if Array.length xs <> Array.length ys then
     invalid_arg "Sweep.fold_pairs: length mismatch";

@@ -10,13 +10,9 @@ let db_of_ratio r =
   check_positive "db_of_ratio" r;
   20.0 *. log10 r
 
-let ratio_of_db d = 10.0 ** (d /. 20.0)
-
 let db_of_power_ratio r =
   check_positive "db_of_power_ratio" r;
   10.0 *. log10 r
-
-let power_ratio_of_db d = 10.0 ** (d /. 10.0)
 
 let dbm_of_watts p =
   check_positive "dbm_of_watts" p;
@@ -31,8 +27,6 @@ let dbm_of_vpeak ?(r = reference_impedance) v =
 
 let vpeak_of_dbm ?(r = reference_impedance) d =
   sqrt (2.0 *. r *. watts_of_dbm d)
-
-let db_close ?(tol = 1.0) a b = Float.abs (a -. b) <= tol
 
 let prefixes =
   [ (1.0e-15, "f"); (1.0e-12, "p"); (1.0e-9, "n"); (1.0e-6, "u");

@@ -27,11 +27,6 @@ val harmonic_amplitude : t -> int -> float
     clock harmonic of the periodic triangular pulse train
     ([k >= 1]; raises [Invalid_argument] otherwise). *)
 
-val injected_voltage : t -> int -> float
-(** [injected_voltage a k] is the equivalent voltage amplitude the
-    harmonic develops at the injection point
-    ([harmonic_amplitude x injection_resistance]). *)
-
 type comb_line = {
   harmonic : int;
   f_noise : float;  (** k * f_clock *)

@@ -43,9 +43,6 @@ val verb_name : verb -> string
 val verbs : verb list
 (** Every verb, in declaration order. *)
 
-val verb_of_string : string -> verb option
-(** The verb whose {!verb_name} is the given string. *)
-
 (** Where the deck (or layout) text comes from.  Inline text and an
     on-disk path are equivalent: both are cached by {e content}
     digest, so editing a file invalidates exactly its own entries. *)
@@ -92,9 +89,6 @@ type error_code =
       (** TCP endpoint requires [--auth-token] and the connection has
           not presented it *)
   | Internal  (** unexpected exception (reported, not a disconnect) *)
-
-val error_code_name : error_code -> string
-(** Stable kebab-case wire name, e.g. ["quota-exceeded"]. *)
 
 val parse_request : Json.t -> (request, error_code * string) result
 (** Typed view of a parsed request line.  Rejects non-objects, unknown

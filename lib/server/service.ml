@@ -630,35 +630,20 @@ let decode_lint _ req =
   let d = deck_of_request req in
   let m = params req in
   let strict = Option.value (opt_bool m "strict") ~default:false in
-  let parse_ignore s =
-    match String.index_opt s '=' with
-    | None -> (s, None)
-    | Some i ->
-      (String.sub s 0 i, Some (String.sub s (i + 1) (String.length s - i - 1)))
-  in
   let config =
-    {
-      A.Analyzer.default with
-      A.Analyzer.disabled =
-        Option.value (opt_str_list m "disable") ~default:[];
-      ignores =
-        List.map parse_ignore
-          (Option.value (opt_str_list m "ignore") ~default:[]);
-    }
+    A.Analyzer.config_of_flags
+      ~disable:(Option.value (opt_str_list m "disable") ~default:[])
+      ~ignore:(Option.value (opt_str_list m "ignore") ~default:[])
   in
   (d, strict, config)
 
 let run_lint t (d, strict, config) =
   let nl, _ = netlist_of t d in
   let report = A.Analyzer.analyze ~config nl in
-  let failing =
-    A.Analyzer.errors report <> []
-    || (strict && A.Analyzer.warnings report <> [])
-  in
   ( J.Obj
       [
         ("report", A.Analyzer.to_json report);
-        ("failing", J.Bool failing);
+        ("failing", J.Bool (A.Analyzer.failing ~strict report));
       ],
     P.Not_applicable,
     P.Not_applicable )
@@ -682,9 +667,7 @@ let decode_verify _ (req : P.request) =
 
 let run_verify t subject =
   let num i = J.Num (float_of_int i) in
-  let header mode =
-    [ ("schema_version", num A.Analyzer.schema_version); ("mode", J.Str mode) ]
-  in
+  let header = A.Analyzer.verify_header in
   let result =
     match subject with
     | Cache_dir dir ->

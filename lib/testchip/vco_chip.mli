@@ -50,10 +50,6 @@ val circuit : params -> vtune:float -> Sn_circuit.Netlist.t
     tuning source and the substrate noise source (0 amplitude DC; the
     flow sets the tone), all referenced to the shared node names. *)
 
-val noise_source_name : string
-(** Name of the substrate noise V source inside {!circuit}
-    (["vnoise"]); the flow retunes its waveform / AC magnitude. *)
-
 val sensitive_nodes : (Sn_rf.Tank.entry * string) list
 (** The merged-netlist node observed for each coupling entry's
     H_sub^i(f) (the inductor entry's node is the bulk probe under the

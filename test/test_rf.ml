@@ -341,10 +341,6 @@ let test_leeson_slope () =
     true
     (slope < -18.0 && slope > -26.0)
 
-let test_spur_equivalent () =
-  check_close 1e-9 "beta to dBc" (-40.0)
-    (Pn.spur_equivalent_dbc ~beta:0.02)
-
 (* ------------------------------------------------------------------ *)
 (* the bounded LRU behind the serving layer's flow cache *)
 
@@ -429,7 +425,6 @@ let suites =
       [
         Alcotest.test_case "Leeson card" `Quick test_leeson_card;
         Alcotest.test_case "1/f^2 slope" `Quick test_leeson_slope;
-        Alcotest.test_case "spur equivalent" `Quick test_spur_equivalent;
       ] );
     ( "rf.lru",
       [
